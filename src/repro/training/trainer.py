@@ -22,6 +22,7 @@ from ..autodiff.introspect import record_tape
 from ..autodiff.replay import (
     ReplayRefused, ReplayStale, StepTrace, compile_step,
 )
+from ..dp.partition import shard_batch_sizes
 from ..dp.reduce import payload_nbytes, tree_reduce
 from ..sampling import UniformSampler
 from ..utils import TrainingClock
@@ -77,13 +78,14 @@ class Trainer:
         modules; checkpoints persist each module's ``state_dict`` under its
         name so resumed inverse runs restore the coefficient exactly.
     dp:
-        A :class:`repro.dp.DataParallelContext` switching the trainer into
-        the lockstep shard-replica step: every owned shard's ``1/S``-scaled
+        A :class:`repro.dp.DataParallelContext` hosting ``S`` logical
+        shards of the run.  Every owned shard's ``1/S``-scaled
         loss/gradient is computed locally, all ``S`` contributions are
         gathered through ``dp.exchange``, tree-reduced in ascending shard
         order, and the identical reduced gradient drives the optimizer on
         every rank.  Mutually exclusive with ``samplers`` (the shard
-        samplers live on the context).
+        samplers live on the context).  Without one the trainer owns a
+        single shard (S=1) and issues no exchange.
     """
 
     def __init__(self, net, constraints, optimizer, scheduler=None,
@@ -105,32 +107,37 @@ class Trainer:
         self.params = net.parameters() + extra
 
         self.dp = dp
-        if dp is not None:
+        if dp is None:
+            samplers = dict(samplers or {})
+            self.samplers = {}
+            for i, constraint in enumerate(self.constraints):
+                sampler = samplers.get(constraint.name)
+                if sampler is None:
+                    sampler = UniformSampler(constraint.n_points, seed=seed + i)
+                self.samplers[constraint.name] = sampler
+            self.n_shards, self.owned = 1, [0]
+            self._shard_samplers = {0: self.samplers}
+        else:
             if samplers:
                 raise ValueError("pass shard samplers on the dp context, "
                                  "not through samplers=")
-            by_name = {c.name: c for c in self.constraints}
-            self.samplers = {}
-            for (cname, shard), sampler in sorted(dp.shard_samplers.items()):
-                self.samplers[f"{cname}@shard{shard}"] = sampler
-                self._bind_probes(by_name[cname], sampler)
-            # global totals from the allreduce; the baseline keeps the
-            # start()-time builds charged (only mid-training rebuilds are
-            # credited back to the clock, same as serial training)
-            self._dp_probe_total = 0
-            self._dp_rebuild_total = 0.0
-            self._dp_rebuild_baseline = None
-            self._dp_replay = None
-            return
-
-        samplers = dict(samplers or {})
-        self.samplers = {}
-        for i, constraint in enumerate(self.constraints):
-            sampler = samplers.get(constraint.name)
-            if sampler is None:
-                sampler = UniformSampler(constraint.n_points, seed=seed + i)
-            self.samplers[constraint.name] = sampler
-            self._bind_probes(constraint, sampler)
+            self.samplers = {f"{cname}@shard{shard}": sampler
+                             for (cname, shard), sampler
+                             in sorted(dp.shard_samplers.items())}
+            self.n_shards, self.owned = dp.n_shards, list(dp.owned)
+            self._shard_samplers = {
+                shard: {c.name: dp.shard_samplers[(c.name, shard)]
+                        for c in self.constraints}
+                for shard in self.owned}
+        for by_name in self._shard_samplers.values():
+            for constraint in self.constraints:
+                self._bind_probes(constraint, by_name[constraint.name])
+        #: per-shard replay state machines of the last ``train(compile=True)``
+        self.replay_states = {}
+        #: global sampler counters as of the last step (summed over all S
+        #: shards); ``rebuild_seconds`` counts from the current ``train``
+        self._totals = {"probe_points": 0, "rebuild_seconds": 0.0}
+        self._rebuild_base = {shard: 0.0 for shard in self.owned}
 
     #: probes evaluate at most this many points per autodiff graph, keeping
     #: peak memory bounded when a sampler probes a large index set at once
@@ -187,8 +194,9 @@ class Trainer:
     # probe refreshes, raw numpy — everything the replay engine re-runs
     # eagerly) and the pure graph-building phase (the recorded region).
     # ------------------------------------------------------------------
-    def _step_batches(self, step):
-        """Draw every constraint's batch and combined per-sample weights.
+    def _step_batches(self, step, shard=0):
+        """Draw one shard's batch and combined per-sample weights for every
+        constraint (indices are global, drawn by the shard's samplers).
 
         Importance refreshes (probe forward passes) fire inside
         ``batch_indices``, so they stay *outside* the recorded/replayed
@@ -197,10 +205,13 @@ class Trainer:
         weight being the final sample×importance product multiplied into
         the loss (or ``None``).
         """
+        samplers = self._shard_samplers[shard]
         batches, weights = {}, {}
         for constraint in self.constraints:
-            sampler = self.samplers[constraint.name]
-            indices = sampler.batch_indices(step, constraint.batch_size)
+            sampler = samplers[constraint.name]
+            batch_size = shard_batch_sizes(constraint.batch_size,
+                                           self.n_shards)[shard]
+            indices = sampler.batch_indices(step, batch_size)
             batches[constraint.name] = indices
             weight = constraint.sample_weight_for(indices)
             importance = sampler.batch_weights(indices)
@@ -211,7 +222,10 @@ class Trainer:
         return batches, weights
 
     def _assemble_loss(self, batches, weights):
-        """Build the aggregate loss graph for pre-drawn batches (eq. 4)."""
+        """Build one shard's aggregate loss graph for pre-drawn batches
+        (eq. 4).  Under data-parallel training the loss is ``1/S``-scaled
+        *inside* the graph, so the allreduce is a pure fixed-order sum and
+        compiled tapes carry the scale."""
         total = None
         for constraint in self.constraints:
             residuals, _ = constraint.residuals(self.net,
@@ -223,6 +237,8 @@ class Trainer:
                     squared = squared * weight
                 term = squared.mean() * constraint.weight
                 total = term if total is None else total + term
+        if self.dp is not None:
+            total = total * self.dp.loss_scale
         return total
 
     def _step_loss(self, step):
@@ -245,14 +261,41 @@ class Trainer:
     def _weight_list(self, weights):
         return [weights[c.name] for c in self.constraints]
 
-    def _run_step(self, step, replay):
-        """Execute one optimizer step eagerly, traced, or replayed."""
+    def _step(self, step):
+        """One optimizer step over every shard this trainer owns.
+
+        A single shard's gradient drives the optimizer directly; with a dp
+        context all ``S`` shard contributions are allreduced first.
+        """
+        if self.dp is None:
+            loss, grads = self._shard_step(step, 0)
+            self._totals = self._shard_totals(0)
+        else:
+            local = {}
+            for shard in self.owned:
+                with obs.span("dp.shard", shard=shard):
+                    loss, grads = self._shard_step(step, shard)
+                    local[shard] = {"loss": _array(loss),
+                                    "grads": [_array(g) for g in grads],
+                                    **self._shard_totals(shard)}
+            reduced = self._allreduce(step, "grad", local)
+            loss, grads = reduced["loss"], reduced["grads"]
+            self._totals = {"probe_points": int(reduced["probe_points"]),
+                            "rebuild_seconds":
+                                float(reduced["rebuild_seconds"])}
+        with obs.span("train.optimizer"):
+            self.optimizer.step(grads)
+        return float(_array(loss).item())
+
+    def _shard_step(self, step, shard):
+        """One shard's ``(loss, grads)``: eager, traced, or replayed."""
+        replay = self.replay_states.get(shard)
         with obs.span("train.sample"):
-            batches, weights = self._step_batches(step)
+            batches, weights = self._step_batches(step, shard)
         if replay is not None and replay.program is not None:
             try:
                 with obs.span("train.replay"):
-                    loss_value, grads = replay.program.run(
+                    return replay.program.run(
                         self._replay_externals(batches),
                         self._weight_list(weights))
             except ReplayStale as exc:
@@ -263,22 +306,17 @@ class Trainer:
                 replay.disabled = True
                 replay.refusal = f"stale tape: {exc}"
                 obs.inc("replay.fallback_stale")
-            else:
-                with obs.span("train.optimizer"):
-                    self.optimizer.step(grads)
-                return float(np.asarray(loss_value).item())
         if replay is not None and not replay.disabled:
-            return self._traced_step(step, replay, batches, weights)
+            return self._traced_step(replay, batches, weights)
         with obs.span("train.forward"):
             loss = self._assemble_loss(batches, weights)
         with obs.span("train.backward"):
             grads = gradients(loss, self.params)
-        with obs.span("train.optimizer"):
-            self.optimizer.step(grads)
-        return loss.item()
+        return loss, grads
 
-    def _traced_step(self, step, replay, batches, weights):
-        """One eager step recorded with provenance; compile after two."""
+    def _traced_step(self, replay, batches, weights):
+        """One eager shard step recorded with provenance; compile after
+        :attr:`TRACE_STEPS` of them."""
         param_data = [p.data.copy() for p in self.params]
         with record_tape(provenance=True) as tape:
             with obs.span("train.forward"):
@@ -290,33 +328,30 @@ class Trainer:
             replay.disabled = True
             replay.refusal = mismatch
             replay.traces = []
-        else:
-            replay.traces.append(StepTrace(tape, loss, grads, param_data,
-                                           self._weight_list(weights)))
-            if len(replay.traces) == self.TRACE_STEPS:
-                try:
-                    with obs.timed_span("replay.compile") as compile_timer:
-                        replay.program = compile_step(replay.traces[0],
-                                                      replay.traces[1],
-                                                      self.params)
-                except ReplayRefused as exc:
-                    replay.disabled = True
-                    replay.refusal = str(exc)
-                    obs.inc("replay.fallback_refused")
-                else:
-                    obs.inc("replay.compile_count")
-                    obs.inc("replay.compile_seconds", compile_timer.seconds)
-                    if obs.enabled():
-                        stats = replay.program.stats
-                        obs.gauge("replay.instructions",
-                                  stats["instructions"])
-                        obs.gauge("replay.cse_hits", stats["cse_hits"])
-                        obs.gauge("replay.dead_pruned", stats["dead"])
-                        obs.gauge("replay.baked_constants", stats["baked"])
-                replay.traces = []
-        with obs.span("train.optimizer"):
-            self.optimizer.step(grads)
-        return loss.item()
+            return loss, grads
+        replay.traces.append(StepTrace(tape, loss, grads, param_data,
+                                       self._weight_list(weights)))
+        if len(replay.traces) == self.TRACE_STEPS:
+            try:
+                with obs.timed_span("replay.compile") as compile_timer:
+                    replay.program = compile_step(replay.traces[0],
+                                                  replay.traces[1],
+                                                  self.params)
+            except ReplayRefused as exc:
+                replay.disabled = True
+                replay.refusal = str(exc)
+                obs.inc("replay.fallback_refused")
+            else:
+                obs.inc("replay.compile_count")
+                obs.inc("replay.compile_seconds", compile_timer.seconds)
+                if obs.enabled():
+                    stats = replay.program.stats
+                    obs.gauge("replay.instructions", stats["instructions"])
+                    obs.gauge("replay.cse_hits", stats["cse_hits"])
+                    obs.gauge("replay.dead_pruned", stats["dead"])
+                    obs.gauge("replay.baked_constants", stats["baked"])
+            replay.traces = []
+        return loss, grads
 
     def _verify_replay_externals(self, tape, batches):
         """Check ``replay_inputs`` mirrors the recorded externals bitwise.
@@ -343,112 +378,9 @@ class Trainer:
         return None
 
     # ------------------------------------------------------------------
-    # Data-parallel step: shard losses/gradients, deterministic allreduce
+    # Data-parallel reduction over all S shards
     # ------------------------------------------------------------------
-    def _dp_shard_batches(self, step, shard):
-        """Per-constraint batches/weights for one owned shard (indices are
-        global, drawn by the shard's own samplers)."""
-        dp = self.dp
-        batches, weights = {}, {}
-        for constraint in self.constraints:
-            sampler = dp.shard_samplers[(constraint.name, shard)]
-            indices = sampler.batch_indices(
-                step, dp.shard_batch[constraint.name][shard])
-            batches[constraint.name] = indices
-            weight = constraint.sample_weight_for(indices)
-            importance = sampler.batch_weights(indices)
-            if importance is not None:
-                imp = importance.reshape(-1, 1)
-                weight = imp if weight is None else weight * imp
-            weights[constraint.name] = weight
-        return batches, weights
-
-    def _dp_assemble_loss(self, batches, weights):
-        """One shard's loss, ``1/S``-scaled *inside* the graph so the
-        allreduce is a pure fixed-order sum (compile tapes carry the
-        scale)."""
-        return self._assemble_loss(batches, weights) * self.dp.loss_scale
-
-    def _dp_payload(self, shard, loss, grads):
-        """This shard's allreduce contribution: scaled loss, float gradient
-        arrays in params order, and cumulative bookkeeping counters."""
-        dp = self.dp
-        arrays = [np.asarray(g.numpy() if hasattr(g, "numpy") else g)
-                  for g in grads]
-        probe = sum(dp.shard_samplers[(c.name, shard)].probe_points
-                    for c in self.constraints)
-        rebuild = sum(dp.shard_samplers[(c.name, shard)].rebuild_seconds
-                      for c in self.constraints)
-        return {
-            "loss": np.asarray(loss.numpy() if hasattr(loss, "numpy")
-                               else loss),
-            "grads": arrays,
-            "probe_points": int(probe),
-            "rebuild_seconds": float(rebuild),
-        }
-
-    def _dp_shard_step(self, step, shard, replay):
-        """One shard's eager / traced / replayed contribution."""
-        with obs.span("dp.shard", shard=shard):
-            with obs.span("train.sample"):
-                batches, weights = self._dp_shard_batches(step, shard)
-            if replay is not None and replay.program is not None:
-                try:
-                    with obs.span("train.replay"):
-                        loss_value, grads = replay.program.run(
-                            self._replay_externals(batches),
-                            self._weight_list(weights))
-                except ReplayStale as exc:
-                    replay.program = None
-                    replay.disabled = True
-                    replay.refusal = f"stale tape: {exc}"
-                    obs.inc("replay.fallback_stale")
-                else:
-                    return self._dp_payload(shard, loss_value, grads)
-            if replay is not None and not replay.disabled:
-                loss, grads = self._dp_traced_shard(step, shard, replay,
-                                                    batches, weights)
-                return self._dp_payload(shard, loss, grads)
-            with obs.span("train.forward"):
-                loss = self._dp_assemble_loss(batches, weights)
-            with obs.span("train.backward"):
-                grads = gradients(loss, self.params)
-            return self._dp_payload(shard, loss, grads)
-
-    def _dp_traced_shard(self, step, shard, replay, batches, weights):
-        """Mirror of :meth:`_traced_step` for one shard (no optimizer
-        step — that happens once, on the reduced gradient)."""
-        param_data = [p.data.copy() for p in self.params]
-        with record_tape(provenance=True) as tape:
-            with obs.span("train.forward"):
-                loss = self._dp_assemble_loss(batches, weights)
-            with obs.span("train.backward"):
-                grads = gradients(loss, self.params)
-        mismatch = self._verify_replay_externals(tape, batches)
-        if mismatch is not None:
-            replay.disabled = True
-            replay.refusal = mismatch
-            replay.traces = []
-            return loss, grads
-        replay.traces.append(StepTrace(tape, loss, grads, param_data,
-                                       self._weight_list(weights)))
-        if len(replay.traces) == self.TRACE_STEPS:
-            try:
-                with obs.timed_span("replay.compile") as compile_timer:
-                    replay.program = compile_step(replay.traces[0],
-                                                  replay.traces[1],
-                                                  self.params)
-            except ReplayRefused as exc:
-                replay.disabled = True
-                replay.refusal = str(exc)
-                obs.inc("replay.fallback_refused")
-            else:
-                obs.inc("replay.compile_count")
-                obs.inc("replay.compile_seconds", compile_timer.seconds)
-            replay.traces = []
-        return loss, grads
-
-    def _dp_reduce(self, step, phase, local):
+    def _allreduce(self, step, phase, local):
         """Gather all shard contributions and tree-reduce them in ascending
         shard order — the fixed schedule making the sum bit-identical for
         every worker count, backend, and arrival order."""
@@ -462,30 +394,7 @@ class Trainer:
             obs.inc("dp.allreduce_rounds")
         return reduced
 
-    def _dp_step(self, step):
-        """One lockstep data-parallel optimizer step."""
-        dp = self.dp
-        local = {}
-        for shard in dp.owned:
-            replay = (None if self._dp_replay is None
-                      else self._dp_replay[shard])
-            local[shard] = self._dp_shard_step(step, shard, replay)
-        reduced = self._dp_reduce(step, "grad", local)
-
-        # exact global totals come out of the reduction itself; the first
-        # round's rebuild total becomes the charged baseline (start()-time
-        # builds), later growth is credited like serial background rebuilds
-        self._dp_probe_total = int(reduced["probe_points"])
-        total_rebuild = float(reduced["rebuild_seconds"])
-        if self._dp_rebuild_baseline is None:
-            self._dp_rebuild_baseline = total_rebuild
-        self._dp_rebuild_total = total_rebuild - self._dp_rebuild_baseline
-
-        with obs.span("train.optimizer"):
-            self.optimizer.step(reduced["grads"])
-        return float(np.asarray(reduced["loss"]).item())
-
-    def _dp_validate(self, step):
+    def _sharded_validate(self, step):
         """Validation with pointwise sums sharded over the same shards.
 
         Validators without ``evaluate_partial`` are evaluated fully on every
@@ -499,13 +408,13 @@ class Trainer:
         partial = {}
         if dp.validator_rows:
             local = {}
-            for shard in dp.owned:
+            for shard in self.owned:
                 per_val = {
                     vi: self.validators[vi].evaluate_partial(
                         self.net, rows[shard])
                     for vi, rows in dp.validator_rows.items()}
                 local[shard] = {"validators": per_val}
-            partial = self._dp_reduce(step, "val", local).get(
+            partial = self._allreduce(step, "val", local).get(
                 "validators", {})
         merged = {}
         for vi, validator in enumerate(self.validators):
@@ -518,29 +427,25 @@ class Trainer:
                 merged.setdefault(var, []).append(err)
         return {var: float(np.mean(vals)) for var, vals in merged.items()}
 
+    # ------------------------------------------------------------------
     def compile_info(self):
         """Execution-mode summary of the last ``train`` call (diagnostics).
 
         One of ``"eager"``, ``"tracing"``, ``"replay"`` or
         ``"eager (refused: ...)"`` / ``"eager (stale: ...)"`` when the
-        compile attempt fell back.  Under data-parallel training the modes
-        of this rank's shard replays are reported per shard when they
-        disagree.
+        compile attempt fell back.  When the owned shards' replays
+        disagree, each shard's mode is reported.
         """
-        if self.dp is not None:
-            if self._dp_replay is None:
-                return "eager"
-            modes = {shard: self._replay_mode(self._dp_replay[shard])
-                     for shard in sorted(self._dp_replay)}
-            if len(set(modes.values())) == 1:
-                return next(iter(modes.values()))
-            return "; ".join(f"shard{s}: {m}" for s, m in modes.items())
-        return self._replay_mode(getattr(self, "replay_state", None))
+        if not self.replay_states:
+            return "eager"
+        modes = {shard: self._replay_mode(state)
+                 for shard, state in sorted(self.replay_states.items())}
+        if len(set(modes.values())) == 1:
+            return next(iter(modes.values()))
+        return "; ".join(f"shard{s}: {m}" for s, m in modes.items())
 
     @staticmethod
     def _replay_mode(replay):
-        if replay is None:
-            return "eager"
         if replay.program is not None:
             return "replay"
         if replay.disabled:
@@ -558,25 +463,19 @@ class Trainer:
         return {var: float(np.mean(vals)) for var, vals in merged.items()}
 
     def total_probe_points(self):
-        """Probed points across all samplers (overhead metric of §3.6).
+        """Probed points across all shards' samplers as of the last step
+        (overhead metric of §3.6) — under data-parallel training the global
+        total from the allreduce, identical on every rank."""
+        return self._totals["probe_points"]
 
-        Under data-parallel training this is the *global* total from the
-        last allreduce — identical on every rank — not just this rank's
-        hosted shards."""
-        if self.dp is not None:
-            return self._dp_probe_total
-        return sum(s.probe_points for s in self.samplers.values())
-
-    def _total_rebuild_seconds(self):
-        """Rebuild seconds eligible for clock credit.
-
-        Serial: the samplers' cumulative total.  Data-parallel: the global
-        baseline-subtracted total carried by the allreduce — identical on
-        every rank, so all replicas credit their clocks by the same
-        amount."""
-        if self.dp is not None:
-            return self._dp_rebuild_total
-        return sum(s.rebuild_seconds for s in self.samplers.values())
+    def _shard_totals(self, shard):
+        """One shard's sampler counters: cumulative probe points, and
+        rebuild seconds since the current ``train`` call began."""
+        samplers = self._shard_samplers[shard].values()
+        return {"probe_points": int(sum(s.probe_points for s in samplers)),
+                "rebuild_seconds": float(
+                    sum(s.rebuild_seconds for s in samplers)
+                    - self._rebuild_base[shard])}
 
     # ------------------------------------------------------------------
     def train(self, steps, validate_every=200, record_every=50, label="run",
@@ -612,6 +511,10 @@ class Trainer:
             retrace-invalidating change (batch size, dtype, weight layout)
             is detected mid-run.  Ignored for closure-driven optimizers
             (L-BFGS re-evaluates the graph inside the closure).
+
+        Sampler (re)build seconds that accrue during the loop — not the
+        ``start()``-time builds, which happen before training — are
+        credited back to ``clock`` when ``background_rebuild`` is set.
         """
         history = history if history is not None else History(label=label)
         clock = clock if clock is not None else TrainingClock()
@@ -630,42 +533,35 @@ class Trainer:
         if start_step == 0:
             for sampler in self.samplers.values():
                 sampler.start()
-        # the initial S1/S2 build is charged (it happens before training);
-        # only mid-training rebuilds run on the paper's background thread
-        credited = self._total_rebuild_seconds()
+        self._rebuild_base = {
+            shard: sum(s.rebuild_seconds
+                       for s in self._shard_samplers[shard].values())
+            for shard in self.owned}
+        credited = 0.0
 
-        self.replay_state = (_ReplayState()
-                             if compile and not use_closure
-                             and self.dp is None else None)
-        if self.dp is not None:
-            self._dp_replay = ({shard: _ReplayState()
-                                for shard in self.dp.owned}
-                               if compile else None)
+        self.replay_states = ({shard: _ReplayState() for shard in self.owned}
+                              if compile and not use_closure else {})
         last_errors = dict(last_errors or {})
         with obs.span("train.run", label=label):
             for step in range(start_step, steps):
                 with obs.span("train.step", step=step) as step_span:
-                    if self.dp is not None:
-                        loss_value = self._dp_step(step)
-                    elif use_closure:
+                    if use_closure:
                         loss_value = self._closure_step(step)
                     else:
-                        loss_value = self._run_step(step, self.replay_state)
+                        loss_value = self._step(step)
                     if self.scheduler is not None:
                         self.scheduler.step()
 
-                    if self.background_rebuild:
-                        rebuilt = self._total_rebuild_seconds()
-                        if rebuilt > credited:
-                            clock.credit(rebuilt - credited)
-                            credited = rebuilt
+                    rebuilt = self._totals["rebuild_seconds"]
+                    if self.background_rebuild and rebuilt > credited:
+                        clock.credit(rebuilt - credited)
+                        credited = rebuilt
 
                     is_last = step == steps - 1
                     if step % validate_every == 0 or is_last:
                         with obs.span("train.validate"):
-                            last_errors = (self._dp_validate(step)
-                                           if self.dp is not None
-                                           else self.validate())
+                            last_errors = (self.validate() if self.dp is None
+                                           else self._sharded_validate(step))
                         obs.inc("train.validations")
                     step_span.set(mode="closure" if use_closure
                                   else self.compile_info())
@@ -691,24 +587,21 @@ class Trainer:
     def _closure_step(self, step):
         """Drive a closure-based optimizer (L-BFGS) on one fixed batch."""
         with obs.span("train.sample"):
-            batches = {c.name: self.samplers[c.name].batch_indices(
-                step, c.batch_size) for c in self.constraints}
+            batches, weights = self._step_batches(step)
 
         def closure():
-            total = None
             with obs.span("train.forward"):
-                for constraint in self.constraints:
-                    residuals, weight = constraint.residuals(
-                        self.net, batches[constraint.name])
-                    for tensor in residuals.values():
-                        squared = tensor * tensor
-                        if weight is not None:
-                            squared = squared * weight
-                        term = squared.mean() * constraint.weight
-                        total = term if total is None else total + term
+                loss = self._assemble_loss(batches, weights)
             with obs.span("train.backward"):
-                grads = gradients(total, self.params)
-            return total.item(), [g.numpy() for g in grads]
+                grads = gradients(loss, self.params)
+            return loss.item(), [g.numpy() for g in grads]
 
         with obs.span("train.optimizer"):
-            return self.optimizer.step_closure(closure)
+            loss_value = self.optimizer.step_closure(closure)
+        self._totals = self._shard_totals(0)
+        return loss_value
+
+
+def _array(value):
+    """A loss/gradient as a numpy array (eager steps yield tensors)."""
+    return np.asarray(value.numpy() if hasattr(value, "numpy") else value)

@@ -61,7 +61,7 @@ def test_stale_tape_falls_back_to_eager_and_training_continues():
 
 def test_program_run_rejects_shape_drift_directly():
     _, trainer = _train("burgers", "uniform", compile=True, steps=4)
-    program = trainer.replay_state.program
+    program = trainer.replay_states[0].program
     assert program is not None
     batches, weights = trainer._step_batches(4)
     externals = trainer._replay_externals(batches)

@@ -154,3 +154,14 @@ def test_session_and_cli_surface_reach_run_dp(tmp_path):
                "--batch-size", str(BATCH), "--world-size", "2",
                "--backend", "thread", "--store", str(tmp_path / "cli")])
     assert rc == 0
+
+
+def test_compiled_dp_run_reports_replay_program_gauges():
+    result = run_dp("burgers", burgers_config("smoke"), sampler="sgm",
+                    steps=STEPS, n_interior=N_INTERIOR, batch_size=BATCH,
+                    world_size=1, compile=True, trace=True)
+    gauges = dict(result.obs["gauges"])
+    for name in ("replay.instructions", "replay.cse_hits",
+                 "replay.dead_pruned", "replay.baked_constants"):
+        assert name in gauges, name
+    assert gauges["replay.instructions"] > 0
