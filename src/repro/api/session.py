@@ -31,12 +31,14 @@ from .types import RunResult
 __all__ = ["Session", "problem", "run_problem"]
 
 
-def _wire_training(prob, config, sampler, batch_size, seed, validators):
-    """Assemble the trainer for one run (shared by fresh runs and resumes).
+def _wire_replica(prob, config, batch_size, validators):
+    """``(net, optimizer, scheduler, validators)`` for one model replica.
 
-    Everything is derived deterministically from ``(prob, config, seed)``:
-    identical inputs wire identical networks, optimizers, samplers, and
-    validators, which is what makes checkpoint-resume bit-identical.
+    Everything is derived deterministically from ``(prob, config)``:
+    identical inputs wire identical networks, optimizers, and validators,
+    which is what makes checkpoint-resume bit-identical and keeps every
+    data-parallel rank's replica in lockstep.  ``validators=None`` selects
+    the problem's defaults.
     """
     for constraint in prob.constraints:
         if constraint.name == "interior":
@@ -61,9 +63,16 @@ def _wire_training(prob, config, sampler, batch_size, seed, validators):
     scheduler = ExponentialDecayLR(optimizer,
                                    decay_rate=config.lr_decay_rate,
                                    decay_steps=config.lr_decay_steps)
-    sampler_obj = make_sampler(sampler, config, prob.interior_cloud, seed)
     if validators is None:
         validators = prob.make_validators(np.random.default_rng(config.seed))
+    return net, optimizer, scheduler, validators
+
+
+def _wire_training(prob, config, sampler, batch_size, seed, validators):
+    """Assemble the trainer for one run (shared by fresh runs and resumes)."""
+    net, optimizer, scheduler, validators = _wire_replica(
+        prob, config, batch_size, validators)
+    sampler_obj = make_sampler(sampler, config, prob.interior_cloud, seed)
     trainer = Trainer(net, prob.constraints, optimizer, scheduler=scheduler,
                       samplers={"interior": sampler_obj},
                       validators=validators,

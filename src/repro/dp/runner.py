@@ -38,12 +38,12 @@ import numpy as np
 from .. import obs
 from ..api.problems import build_problem
 from ..api.registry import problem_registry
+from ..api.session import _wire_replica
 from ..api.types import RunResult
 from ..exec import resolve_backend
-from ..nn import Adam, ExponentialDecayLR, FullyConnected
+from ..nn import FullyConnected
 from ..training import Trainer
 from .exchange import LocalExchange, StoreExchange
-from .partition import shard_batch_sizes
 from .samplers import SUPPORTED_KINDS, ClusterPlan, make_shard_sampler
 
 __all__ = ["DEFAULT_SHARDS", "DataParallelContext", "run_dp"]
@@ -57,7 +57,7 @@ class DataParallelContext:
     """Everything the trainer's shard-aware step needs for one rank."""
 
     def __init__(self, *, n_shards, world_size, rank, shard_samplers,
-                 shard_batch, exchange, validator_rows):
+                 exchange, validator_rows):
         self.n_shards = int(n_shards)
         self.world_size = int(world_size)
         self.rank = int(rank)
@@ -66,8 +66,6 @@ class DataParallelContext:
                       if s % self.world_size == self.rank]
         #: ``(constraint_name, shard) -> sampler`` for owned shards
         self.shard_samplers = dict(shard_samplers)
-        #: ``constraint_name -> [batch size per shard]`` (all S shards)
-        self.shard_batch = dict(shard_batch)
         self.exchange = exchange
         #: per-shard loss scale making the allreduce a pure sum
         self.loss_scale = 1.0 / self.n_shards
@@ -114,33 +112,14 @@ def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators_mode,
                   *, n_shards, world_size, rank, exchange):
     """Assemble one rank's lockstep trainer replica.
 
-    Mirrors :func:`repro.api.session._wire_training` exactly for the
-    network / optimizer / scheduler / validators — every rank derives the
-    identical replica from ``(prob, config, seed)`` — then adds the
+    The network / optimizer / scheduler / validators come from the same
+    :func:`repro.api.session._wire_replica` serial training uses — every
+    rank derives the identical replica from ``(prob, config)`` — plus the
     shard-local samplers and partitions for the shards this rank hosts.
     """
-    for constraint in prob.constraints:
-        if constraint.name == "interior":
-            constraint.batch_size = batch_size
-        else:
-            constraint.batch_size = max(16, batch_size // 4)
-    dtype = np.dtype(config.network.dtype)
-    for constraint in prob.constraints:
-        constraint.set_dtype(dtype)
-
-    net = FullyConnected(prob.in_features, prob.out_features,
-                         width=config.network.width,
-                         depth=config.network.depth,
-                         activation=config.network.activation,
-                         rng=np.random.default_rng(config.seed),
-                         dtype=dtype)
-    optimizer = Adam(net.parameters() + prob.extra_parameters, lr=config.lr)
-    scheduler = ExponentialDecayLR(optimizer,
-                                   decay_rate=config.lr_decay_rate,
-                                   decay_steps=config.lr_decay_steps)
-    validators = ([] if validators_mode == "none"
-                  else prob.make_validators(np.random.default_rng(
-                      config.seed)))
+    net, optimizer, scheduler, validators = _wire_replica(
+        prob, config, batch_size,
+        None if validators_mode == "default" else [])
 
     owned = [s for s in range(n_shards) if s % world_size == rank]
     plan = None
@@ -149,10 +128,7 @@ def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators_mode,
                            k=config.knn_k, level=config.lrd_level,
                            seed=seed)
     shard_samplers = {}
-    shard_batch = {}
     for ci, constraint in enumerate(prob.constraints):
-        shard_batch[constraint.name] = shard_batch_sizes(
-            constraint.batch_size, n_shards)
         kind = sampler if constraint.name == "interior" else "uniform"
         for shard in owned:
             # the cell seed is a pure function of (run seed, constraint,
@@ -172,8 +148,8 @@ def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators_mode,
 
     dp = DataParallelContext(
         n_shards=n_shards, world_size=world_size, rank=rank,
-        shard_samplers=shard_samplers, shard_batch=shard_batch,
-        exchange=exchange, validator_rows=validator_rows)
+        shard_samplers=shard_samplers, exchange=exchange,
+        validator_rows=validator_rows)
     trainer = Trainer(net, prob.constraints, optimizer, scheduler=scheduler,
                       validators=validators,
                       extra_modules=prob.extra_modules, seed=seed, dp=dp)

@@ -19,10 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..graph import knn_adjacency, lrd_decompose
-from ..sampling import MISSampler, UniformSampler
-from ..sampling.base import Sampler, _scalar
-from ..sampling.sgm import _minmax
+from ..sampling import MISSampler, SGMSampler, UniformSampler
+from ..sampling.sgm import knn_lrd_labels, split_clusters
 from .partition import assign_clusters, stride_shards
 
 __all__ = [
@@ -71,17 +69,10 @@ class ClusterPlan:
             np.random.SeedSequence([self.seed, self._STREAM,
                                     int(rebuild_index)]))
         with obs.timed_span("sampler.rebuild") as rebuild_timer:
-            with obs.span("sampler.knn_build"):
-                adjacency = knn_adjacency(self.features, self.k,
-                                          backend=self.knn_backend)
-            with obs.span("sampler.cluster_update"):
-                result = lrd_decompose(adjacency, level=self.level,
-                                       num_vectors=self.num_vectors,
-                                       seed=int(rng.integers(2 ** 31)))
-            labels = result.labels
-            order = np.argsort(labels, kind="stable")
-            boundaries = np.flatnonzero(np.diff(labels[order])) + 1
-            clusters = np.split(order, boundaries)
+            clusters = split_clusters(knn_lrd_labels(
+                self.features, k=self.k, level=self.level,
+                num_vectors=self.num_vectors, knn_backend=self.knn_backend,
+                seed=int(rng.integers(2 ** 31))))
             shard_of_cluster = assign_clusters([len(c) for c in clusters],
                                                self.n_shards)
         self._cache[rebuild_index] = (clusters, shard_of_cluster)
@@ -185,43 +176,29 @@ class ShardSampler:
              if key.startswith("inner.")})
 
 
-class ShardSGMSampler(Sampler):
+class ShardSGMSampler(SGMSampler):
     """SGM importance sampling restricted to one shard's whole clusters.
 
-    Probing, scoring, and epoch assembly follow
-    :class:`~repro.sampling.SGMSampler` exactly, but over the clusters the
+    Probing, scoring, epochs and checkpoints are
+    :class:`~repro.sampling.SGMSampler`'s own, over the clusters the
     :class:`ClusterPlan` assigned to this shard, with the min–max score
-    normalisation computed shard-locally.  Rebuild cadence (``tau_G``)
-    re-derives the *global* plan — identical on every rank — and re-adopts
-    this shard's slice of it.
+    normalisation computed shard-locally.  Only where clusters come from
+    differs: each (re)build adopts this shard's slice of the *global* plan
+    for that rebuild — identical on every rank — instead of building a
+    graph of its own.
     """
-
-    name = "sgm"
 
     def __init__(self, plan, shard, *, tau_e=7000, tau_G=25000,
                  probe_ratio=0.15, ratio_range=(0.05, 0.9), seed=0):
-        super().__init__(len(plan.features), seed=seed)
+        super().__init__(plan.features, k=plan.k, level=plan.level,
+                         tau_e=tau_e, tau_G=tau_G, probe_ratio=probe_ratio,
+                         ratio_range=ratio_range,
+                         num_vectors=plan.num_vectors,
+                         knn_backend=plan.knn_backend, seed=seed)
         self.plan = plan
         self.shard = int(shard)
-        self.tau_e = int(tau_e)
-        self.tau_g = int(tau_G)
-        self.probe_ratio = float(probe_ratio)
-        if not 0.0 < self.probe_ratio <= 1.0:
-            raise ValueError("probe_ratio must lie in (0, 1]")
-        self.ratio_min, self.ratio_max = map(float, ratio_range)
-        if not 0.0 < self.ratio_min <= self.ratio_max <= 1.0:
-            raise ValueError("need 0 < p_min <= p_max <= 1")
 
-        self.clusters = []
-        self.cluster_scores = None
-        self.sampling_ratios = None
-        self._epoch = None
-        self._cursor = 0
-        self.refresh_count = 0
-        self.rebuild_count = 0
-
-    # ------------------------------------------------------------------
-    def _adopt_clusters(self, rebuild_index):
+    def _plan_clusters(self, rebuild_index):
         members, seconds = self.plan.shard_members(rebuild_index, self.shard)
         if not members:
             raise ValueError(
@@ -229,123 +206,26 @@ class ShardSGMSampler(Sampler):
                 f"({self.plan.n_clusters(rebuild_index)} clusters over "
                 f"{self.plan.n_shards} shards); lower dp_shards or the LRD "
                 f"level")
-        self.clusters = members
+        return members, seconds
+
+    def build_clusters(self):
+        """Adopt this shard's slice of the plan's next rebuild."""
+        self.clusters, seconds = self._plan_clusters(self.rebuild_count)
         self.rebuild_seconds += seconds
-        self.rebuild_count = int(rebuild_index) + 1
+        self.rebuild_count += 1
 
-    def start(self):
-        if not self.clusters:
-            self._adopt_clusters(0)
-
-    # ------------------------------------------------------------------
-    def refresh_scores(self):
-        """Probe this shard's cluster losses and assemble a local epoch."""
-        if self.probe_loss is None:
-            raise RuntimeError("SGM shard sampler needs probe callbacks "
-                               "bound before training starts")
-        with obs.timed_span("sampler.refresh") as refresh_timer:
-            subsets = []
-            for members in self.clusters:
-                count = max(1, int(np.ceil(self.probe_ratio * len(members))))
-                if count >= len(members):
-                    subsets.append(members)
-                else:
-                    subsets.append(self.rng.choice(members, size=count,
-                                                   replace=False))
-            flat = np.concatenate(subsets)
-            losses = np.asarray(self.probe_loss(flat),
-                                dtype=np.float64).ravel()
-            self.probe_points += len(flat)
-
-            sizes = np.array([len(s) for s in subsets])
-            offsets = np.concatenate([[0], np.cumsum(sizes)])
-            cluster_loss = np.array([
-                losses[offsets[i]:offsets[i + 1]].mean()
-                for i in range(len(subsets))])
-            score = _minmax(cluster_loss)
-            self.cluster_scores = score
-            self.sampling_ratios = (self.ratio_min +
-                                    (self.ratio_max - self.ratio_min) *
-                                    _minmax(score))
-            self._build_epoch()
-        self.refresh_count += 1
-        obs.inc("sampler.refresh_count")
-        obs.inc("sampler.refresh_seconds", refresh_timer.seconds)
-
-    def _build_epoch(self):
-        parts = []
-        for ratio, members in zip(self.sampling_ratios, self.clusters):
-            count = max(1, int(round(ratio * len(members))))
-            if count >= len(members):
-                parts.append(members)
-            else:
-                parts.append(self.rng.choice(members, size=count,
-                                             replace=False))
-        epoch = np.concatenate(parts)
-        self.rng.shuffle(epoch)
-        self._epoch = epoch
-        self._cursor = 0
-
-    # ------------------------------------------------------------------
-    def batch_indices(self, step, batch_size):
-        if not self.clusters:
-            self.start()
-        if step > 0 and self.tau_g > 0 and step % self.tau_g == 0:
-            self._adopt_clusters(self.rebuild_count)
-            self.refresh_scores()
-        elif self._epoch is None or (step > 0 and step % self.tau_e == 0):
-            self.refresh_scores()
-
-        batch = np.empty(batch_size, dtype=int)
-        filled = 0
-        while filled < batch_size:
-            take = min(batch_size - filled, len(self._epoch) - self._cursor)
-            batch[filled:filled + take] = \
-                self._epoch[self._cursor:self._cursor + take]
-            filled += take
-            self._cursor += take
-            if self._cursor >= len(self._epoch):
-                self.rng.shuffle(self._epoch)
-                self._cursor = 0
-        return batch
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        if self.rebuild_count > 0:
+            # clusters are derived state: re-adopt the plan's deterministic
+            # decomposition for the last rebuild instead of persisting them
+            self.clusters, _ = self._plan_clusters(self.rebuild_count - 1)
 
     def owned_points(self):
         """All global indices this shard owns (its clusters, concatenated)."""
         if not self.clusters:
             self.start()
         return np.concatenate(self.clusters)
-
-    # ------------------------------------------------------------------
-    def state_dict(self):
-        state = super().state_dict()
-        state["refresh_count"] = self.refresh_count
-        state["rebuild_count"] = self.rebuild_count
-        if self.cluster_scores is not None:
-            state["cluster_scores"] = np.asarray(self.cluster_scores).copy()
-            state["sampling_ratios"] = np.asarray(self.sampling_ratios).copy()
-        if self._epoch is not None:
-            state["epoch"] = np.asarray(self._epoch).copy()
-            state["cursor"] = self._cursor
-        return state
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        self.refresh_count = int(_scalar(state["refresh_count"]))
-        rebuild_count = int(_scalar(state["rebuild_count"]))
-        if rebuild_count > 0:
-            # clusters are derived state: re-adopt the plan's deterministic
-            # decomposition for the last rebuild instead of persisting them
-            seconds_before = self.rebuild_seconds
-            self._adopt_clusters(rebuild_count - 1)
-            self.rebuild_seconds = seconds_before
-        if "cluster_scores" in state:
-            self.cluster_scores = np.asarray(state["cluster_scores"],
-                                             dtype=np.float64).copy()
-            self.sampling_ratios = np.asarray(state["sampling_ratios"],
-                                              dtype=np.float64).copy()
-        if "epoch" in state:
-            self._epoch = np.asarray(state["epoch"], dtype=int).copy()
-            self._cursor = int(_scalar(state["cursor"]))
 
 
 #: sampler-registry kinds the data-parallel mode supports

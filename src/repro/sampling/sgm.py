@@ -40,6 +40,22 @@ def _minmax(values):
     return (values - lo) / (hi - lo)
 
 
+def knn_lrd_labels(features, *, k, level, num_vectors, knn_backend, seed):
+    """S1 + S2: cluster labels of a kNN PGM's LRD decomposition."""
+    with obs.span("sampler.knn_build"):
+        adjacency = knn_adjacency(features, k, backend=knn_backend)
+    with obs.span("sampler.cluster_update"):
+        return lrd_decompose(adjacency, level=level, num_vectors=num_vectors,
+                             seed=seed).labels
+
+
+def split_clusters(labels):
+    """Member index arrays of every cluster, in ascending label order."""
+    order = np.argsort(labels, kind="stable")
+    boundaries = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, boundaries)
+
+
 class SGMSampler(Sampler):
     """Cluster-level importance sampling via sampling graphical models."""
 
@@ -162,15 +178,11 @@ class SGMSampler(Sampler):
                         num_vectors=self.num_vectors,
                         seed=int(self.rng.integers(2 ** 31)))
             else:
-                with obs.span("sampler.knn_build"):
-                    adjacency = knn_adjacency(graph_features, self.k,
-                                              backend=self.knn_backend)
-                with obs.span("sampler.cluster_update"):
-                    result = lrd_decompose(
-                        adjacency, level=self.level,
-                        num_vectors=self.num_vectors,
-                        seed=int(self.rng.integers(2 ** 31)))
-                    labels = result.labels
+                labels = knn_lrd_labels(
+                    graph_features, k=self.k, level=self.level,
+                    num_vectors=self.num_vectors,
+                    knn_backend=self.knn_backend,
+                    seed=int(self.rng.integers(2 ** 31)))
             self._set_labels(labels)
         self.rebuild_seconds += rebuild_timer.seconds
         self.rebuild_count += 1
@@ -181,11 +193,9 @@ class SGMSampler(Sampler):
         """Adopt cluster labels and derive the member lists (deterministic,
         so checkpoints only need to persist the labels themselves)."""
         self.labels = labels
-        order = np.argsort(labels, kind="stable")
-        boundaries = np.flatnonzero(np.diff(labels[order])) + 1
         # derived deterministically from labels above, which state_dict
         # persists; re-deriving on load keeps checkpoints small
-        self.clusters = np.split(order, boundaries)  # repro: noqa RPR007
+        self.clusters = split_clusters(labels)  # repro: noqa RPR007
 
     # ------------------------------------------------------------------
     # S3 + S4: scoring and epoch assembly
@@ -273,7 +283,7 @@ class SGMSampler(Sampler):
         self.build_clusters()
 
     def batch_indices(self, step, batch_size):
-        if self.labels is None:
+        if not self.clusters:
             self.start()
         if step > 0 and self.tau_g > 0 and step % self.tau_g == 0:
             self.build_clusters()
