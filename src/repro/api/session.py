@@ -376,28 +376,25 @@ class Session:
             run_id=run_id, checkpoint_every=checkpoint_every,
             compile=self._compile, trace=self._trace)
 
-    def suite(self, samplers=None, *, backend=None, executor=None,
-              max_workers=None, workers_external=False, steps=None,
-              verbose=False, store=None, checkpoint_every=None):
+    def suite(self, samplers=None, *, backend="serial", max_workers=None,
+              workers_external=False, steps=None, verbose=False, store=None,
+              checkpoint_every=None):
         """Train a method sweep on this problem; returns a ``SuiteResult``.
 
         ``samplers`` follows :func:`repro.experiments.resolve_methods`:
         ``None`` sweeps every registered sampler, or pass sampler names /
         ``MethodSpec`` objects.  ``backend="process"`` shards the sweep
         over a process pool, ``"queue"`` feeds a ``repro worker`` fleet
-        through the store (default ``"serial"``; ``executor=`` is the
-        deprecated alias); the session's ``seed``/``n_interior``/
-        ``batch_size``/``steps`` overrides apply to every method.  With
+        through the store (default ``"serial"``); the session's
+        ``seed``/``n_interior``/``batch_size``/``steps`` overrides apply to
+        every method.  With
         ``store`` each method (including each pool/queue worker) writes
         its own durable run record::
 
             repro.problem("ldc").suite(["uniform", "sgm"],
                                        backend="process", store="runs")
         """
-        from ..experiments.suite import (_backend_choice, resolve_methods,
-                                         run_suite)
-        backend = _backend_choice(backend, executor, "serial",
-                                  "Session.suite")
+        from ..experiments.suite import resolve_methods, run_suite
         methods = resolve_methods(self._config, samplers,
                                   n_interior=self._n_interior,
                                   batch_size=self._batch_size)
@@ -410,9 +407,9 @@ class Session:
                          checkpoint_every=checkpoint_every,
                          compile=self._compile, trace=self._trace)
 
-    def matrix(self, problems=None, samplers=None, *, backend=None,
-               executor=None, max_workers=None, workers_external=False,
-               steps=None, verbose=False, store=None, checkpoint_every=None):
+    def matrix(self, problems=None, samplers=None, *, backend="serial",
+               max_workers=None, workers_external=False, steps=None,
+               verbose=False, store=None, checkpoint_every=None):
         """Train a cross-problem benchmark matrix; returns a
         ``MatrixResult``.
 
@@ -423,16 +420,13 @@ class Session:
         their registered config factory at the session's scale.
         ``problems=None`` sweeps every registered problem; with
         ``backend="process"`` all cells shard over one shared pool
-        (default ``"serial"``; ``executor=`` is the deprecated alias)::
+        (default ``"serial"``)::
 
             repro.problem("ldc", scale="smoke").matrix(
                 samplers=["uniform", "sgm"], backend="process",
                 store="runs")
         """
         from ..experiments.matrix import run_matrix
-        from ..experiments.suite import _backend_choice
-        backend = _backend_choice(backend, executor, "serial",
-                                  "Session.matrix")
         return run_matrix(problems, samplers, backend=backend,
                           max_workers=max_workers,
                           workers_external=workers_external, seed=self._seed,

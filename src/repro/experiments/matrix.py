@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..api.registry import problem_registry
 from ..exec import resolve_backend
-from .suite import (SuiteResult, _backend_choice, _make_task, _train_method,
+from .suite import (SuiteResult, _make_task, _train_method,
                     resolve_methods)
 from .tables import suite_table
 
@@ -75,11 +75,6 @@ class MatrixResult:
     #: grid-level span/metric export (every cell adopted under a
     #: ``suite.cell`` span) when the grid ran with ``trace=True``
     obs: dict = field(repr=False, default=None)
-
-    @property
-    def executor(self):
-        """Alias for :attr:`backend` (the field's pre-``repro.exec`` name)."""
-        return self.backend
 
     @property
     def problems(self):
@@ -136,7 +131,7 @@ def matrix_table(matrix, title=None):
     return "\n\n".join(blocks)
 
 
-def run_matrix(problems=None, methods=None, *, backend=None, executor=None,
+def run_matrix(problems=None, methods=None, *, backend="process",
                max_workers=None, workers_external=False, seed=None,
                steps=None, scale="repro", configs=None, n_interior=None,
                batch_size=None, validators=None, verbose=False, store=None,
@@ -160,8 +155,6 @@ def run_matrix(problems=None, methods=None, *, backend=None, executor=None,
         backend — a 5 × 4 matrix keeps a local pool or a ``repro
         worker`` fleet saturated instead of running five sequential
         suites.
-    executor:
-        Deprecated alias for ``backend`` (same names); warns.
     max_workers:
         Shared worker-fleet size (default: ``min(n_cells, cpu_count)``).
     workers_external:
@@ -215,7 +208,6 @@ def run_matrix(problems=None, methods=None, *, backend=None, executor=None,
     if store is not None:
         from ..store import RunStore
         store_root = str(RunStore.coerce(store).root)
-    backend = _backend_choice(backend, executor, "process", "run_matrix")
     exec_backend = resolve_backend(backend, max_workers=max_workers,
                                    store=store_root,
                                    workers_external=workers_external)

@@ -22,7 +22,6 @@ state dict, sampler statistics) instead of live trainer objects.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,23 +48,6 @@ def _make_task(problem, config, spec, seed, steps, validators, verbose,
     return (problem, config, spec, seed, steps, validators, verbose,
             store_root, checkpoint_every, compile, trace)
 
-
-def _backend_choice(backend, executor, default, owner):
-    """Resolve the ``backend=`` / deprecated ``executor=`` kwarg pair.
-
-    ``executor=`` mapped 1:1 onto backend names, so the shim just warns
-    and forwards; passing both (to different values) is an error.
-    """
-    if executor is not None:
-        if backend is not None and backend != executor:
-            raise ValueError(f"conflicting backend={backend!r} and "
-                             f"deprecated executor={executor!r}")
-        warnings.warn(
-            f"{owner}(executor=...) is deprecated; pass backend=... "
-            f"instead (same names: 'serial', 'process', ...)",
-            DeprecationWarning, stacklevel=3)
-        return executor
-    return default if backend is None else backend
 
 #: label prefixes mirroring the paper's column headers (U500, MIS500, ...)
 _LABEL_PREFIXES = {"uniform": "U", "mis": "MIS", "sgm": "SGM",
@@ -215,11 +197,6 @@ class SuiteResult:
     obs: dict = field(repr=False, default=None)
 
     @property
-    def executor(self):
-        """Alias for :attr:`backend` (the field's pre-``repro.exec`` name)."""
-        return self.backend
-
-    @property
     def labels(self):
         return [m.label for m in self.methods]
 
@@ -304,7 +281,7 @@ def _train_method(task):
                         run_id=result.run_id, obs_data=result.obs)
 
 
-def run_suite(problem, methods=None, *, backend=None, executor=None,
+def run_suite(problem, methods=None, *, backend="process",
               max_workers=None, workers_external=False, seed=None,
               steps=None, config=None, scale="repro", validators=None,
               verbose=False, store=None, checkpoint_every=None,
@@ -327,8 +304,6 @@ def run_suite(problem, methods=None, *, backend=None, executor=None,
         :class:`~repro.exec.ExecutionBackend` instance is accepted as-is.
         Every backend produces bit-identical loss/error trajectories
         because every worker seeds independently from its spec.
-    executor:
-        Deprecated alias for ``backend`` (same names); warns.
     max_workers:
         Worker-fleet size (default: ``min(len(methods), cpu_count)``).
     workers_external:
@@ -384,7 +359,6 @@ def run_suite(problem, methods=None, *, backend=None, executor=None,
     if store is not None:
         from ..store import RunStore
         store_root = str(RunStore.coerce(store).root)
-    backend = _backend_choice(backend, executor, "process", "run_suite")
     exec_backend = resolve_backend(backend, max_workers=max_workers,
                                    store=store_root,
                                    workers_external=workers_external)

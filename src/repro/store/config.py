@@ -48,7 +48,7 @@ __all__ = ["RunConfig", "load_run_config",
 _RUN_KEYS = {"problem", "sampler", "scale", "steps", "seed", "n_interior",
              "batch_size", "label"}
 _STORE_KEYS = {"root", "checkpoint_every"}
-_SUITE_KEYS = {"samplers", "backend", "executor", "max_workers"}
+_SUITE_KEYS = {"samplers", "backend", "max_workers"}
 
 
 def _replace_validated(config, overrides, where):
@@ -88,11 +88,6 @@ class RunConfig:
     max_workers: int = None
     path: str = None
 
-    @property
-    def executor(self):
-        """Alias for :attr:`backend` (the field's pre-``repro.exec`` name)."""
-        return self.backend
-
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, data, path=None):
@@ -117,14 +112,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown [suite] key(s) {unknown}; "
                              f"valid keys: {sorted(_SUITE_KEYS)}")
-        if "executor" in suite:
-            # legacy spelling of [suite] backend; files may carry either,
-            # but not both with different values
-            legacy = suite.pop("executor")
-            if suite.setdefault("backend", legacy) != legacy:
-                raise ValueError(
-                    f"[suite] sets backend={suite['backend']!r} and the "
-                    f"legacy executor={legacy!r}; keep only backend")
         extra = sorted(set(data) - {"run", "config", "store", "suite"})
         if extra:
             raise ValueError(f"unknown top-level table(s) {extra}; "

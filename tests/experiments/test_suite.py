@@ -60,7 +60,6 @@ def test_run_suite_serial_returns_ordered_suiteresult():
                       scale="smoke", steps=4)
     assert isinstance(suite, SuiteResult)
     assert suite.problem == "burgers" and suite.backend == "serial"
-    assert suite.executor == "serial"    # deprecated-name alias
     assert suite.labels == ["U32", "SGM32"]
     assert len(suite) == 2
     assert set(suite.histories()) == {"U32", "SGM32"}
@@ -76,16 +75,6 @@ def test_run_suite_rejects_unknown_problem_and_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         run_suite("burgers", ["uniform"], backend="threads", scale="smoke",
                   steps=1)
-
-
-def test_executor_kwarg_is_deprecated_but_still_routes():
-    with pytest.warns(DeprecationWarning, match="pass backend="):
-        suite = run_suite("burgers", ["uniform"], executor="serial",
-                          scale="smoke", steps=2)
-    assert suite.backend == "serial"
-    with pytest.raises(ValueError, match="conflicting"):
-        run_suite("burgers", ["uniform"], backend="serial",
-                  executor="process", scale="smoke", steps=1)
 
 
 def test_run_results_reconstruct_trained_networks():

@@ -49,17 +49,6 @@ def test_load_run_config_toml(tmp_path):
     assert rc.steps == 25 and rc.seed == 7
     assert rc.store_root == "my-runs" and rc.checkpoint_every == 10
     assert rc.samplers == ["uniform", "mis"] and rc.backend == "process"
-    assert rc.executor == "process"     # deprecated-name alias
-
-
-def test_legacy_executor_key_maps_onto_backend(tmp_path):
-    legacy = EXPERIMENT.replace('backend = "process"',
-                                'executor = "process"')
-    rc = load_run_config(_write(tmp_path, legacy))
-    assert rc.backend == "process"
-    both = EXPERIMENT + 'executor = "serial"\n'
-    with pytest.raises(ValueError, match="keep only backend"):
-        load_run_config(_write(tmp_path, both))
 
 
 def test_load_run_config_json(tmp_path):
@@ -98,6 +87,9 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"run": {"problem": "ldc", "bogus": 1}})
     with pytest.raises(ValueError, match="typo"):
         RunConfig.from_dict({"run": {"problem": "ldc"}, "store": {"typo": 1}})
+    with pytest.raises(ValueError, match=r"\[suite\].*executor"):
+        RunConfig.from_dict({"run": {"problem": "ldc"},
+                             "suite": {"executor": "process"}})
     with pytest.raises(ValueError, match="mystery"):
         RunConfig.from_dict({"run": {"problem": "ldc"}, "mystery": {}})
 
