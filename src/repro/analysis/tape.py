@@ -408,31 +408,25 @@ def analyze_tape(problem, *, sampler="uniform", scale="smoke", n_interior=64,
 def _replay_readiness(trainer, steps=(2, 3)):
     """Attempt an actual replay compile of the trainer's step.
 
-    Traces two fresh steps with provenance (steps 2/3 — the analyzer's own
-    traces consumed the samplers' step-0/1 draws), verifies the constraints'
-    ``replay_inputs`` mirror the recorded externals, and runs
-    :func:`repro.autodiff.replay.compile_step` including its bit-identical
-    self-verification.  Parameters are left untouched (no optimizer step),
-    which the compiler accepts — both traces just see identical weights.
+    Runs the trainer's own traced shard step on two fresh steps (steps 2/3
+    — the analyzer's own traces consumed the samplers' step-0/1 draws):
+    it verifies the constraints' ``replay_inputs`` mirror the recorded
+    externals and runs :func:`repro.autodiff.replay.compile_step`
+    including its bit-identical self-verification.  Parameters are left
+    untouched (the shard step takes no optimizer step), which the compiler
+    accepts — both traces just see identical weights.
 
     Returns ``(ready, refusal_message, program_stats)``.
     """
-    from ..autodiff.replay import ReplayRefused, StepTrace, compile_step
+    from ..training.trainer import _ReplayState
 
-    traces = []
-    for step in steps:
-        batches, weights = trainer._step_batches(step)
-        param_data = [p.data.copy() for p in trainer.params]
-        with record_tape(provenance=True) as tape:
-            loss = trainer._assemble_loss(batches, weights)
-            grads = gradients(loss, trainer.params)
-        mismatch = trainer._verify_replay_externals(tape, batches)
-        if mismatch is not None:
-            return False, mismatch, {}
-        traces.append(StepTrace(tape, loss, grads, param_data,
-                                trainer._weight_list(weights)))
+    state = _ReplayState()
+    trainer.replay_states = {0: state}
     try:
-        program = compile_step(traces[0], traces[1], trainer.params)
-    except ReplayRefused as exc:
-        return False, str(exc), {}
-    return True, None, dict(program.stats)
+        for step in steps:
+            trainer._shard_step(step, 0)
+    finally:
+        trainer.replay_states = {}
+    if state.program is None:
+        return False, state.refusal, {}
+    return True, None, dict(state.program.stats)

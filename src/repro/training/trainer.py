@@ -280,9 +280,7 @@ class Trainer:
                                     **self._shard_totals(shard)}
             reduced = self._allreduce(step, "grad", local)
             loss, grads = reduced["loss"], reduced["grads"]
-            self._totals = {"probe_points": int(reduced["probe_points"]),
-                            "rebuild_seconds":
-                                float(reduced["rebuild_seconds"])}
+            self._totals = {key: reduced[key] for key in self._totals}
         with obs.span("train.optimizer"):
             self.optimizer.step(grads)
         return float(_array(loss).item())
@@ -403,8 +401,6 @@ class Trainer:
         local and no rendezvous round is issued.
         """
         dp = self.dp
-        if not self.validators:
-            return {}
         partial = {}
         if dp.validator_rows:
             local = {}
@@ -416,16 +412,11 @@ class Trainer:
                 local[shard] = {"validators": per_val}
             partial = self._allreduce(step, "val", local).get(
                 "validators", {})
-        merged = {}
-        for vi, validator in enumerate(self.validators):
-            if vi in partial:
-                errs = {var: merge_partial_l2(num, den)
-                        for var, (num, den) in partial[vi].items()}
-            else:
-                errs = validator.evaluate(self.net)
-            for var, err in errs.items():
-                merged.setdefault(var, []).append(err)
-        return {var: float(np.mean(vals)) for var, vals in merged.items()}
+        return _average_errors(
+            {var: merge_partial_l2(num, den)
+             for var, (num, den) in partial[vi].items()}
+            if vi in partial else validator.evaluate(self.net)
+            for vi, validator in enumerate(self.validators))
 
     # ------------------------------------------------------------------
     def compile_info(self):
@@ -454,13 +445,8 @@ class Trainer:
 
     def validate(self):
         """Average each variable's relative L2 across validators."""
-        if not self.validators:
-            return {}
-        merged = {}
-        for validator in self.validators:
-            for var, err in validator.evaluate(self.net).items():
-                merged.setdefault(var, []).append(err)
-        return {var: float(np.mean(vals)) for var, vals in merged.items()}
+        return _average_errors(validator.evaluate(self.net)
+                               for validator in self.validators)
 
     def total_probe_points(self):
         """Probed points across all shards' samplers as of the last step
@@ -600,6 +586,15 @@ class Trainer:
             loss_value = self.optimizer.step_closure(closure)
         self._totals = self._shard_totals(0)
         return loss_value
+
+
+def _average_errors(per_validator):
+    """Each variable's error averaged across validators."""
+    merged = {}
+    for errors in per_validator:
+        for var, err in errors.items():
+            merged.setdefault(var, []).append(err)
+    return {var: float(np.mean(vals)) for var, vals in merged.items()}
 
 
 def _array(value):
