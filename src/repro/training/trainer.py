@@ -113,7 +113,8 @@ class Trainer:
             for i, constraint in enumerate(self.constraints):
                 sampler = samplers.get(constraint.name)
                 if sampler is None:
-                    sampler = UniformSampler(constraint.n_points, seed=seed + i)
+                    sampler = UniformSampler(constraint.n_points,
+                                             seed=seed + i)
                 self.samplers[constraint.name] = sampler
             self.n_shards, self.owned = 1, [0]
             self._shard_samplers = {0: self.samplers}
