@@ -279,7 +279,6 @@ class TaskQueue:
         lease_path = job_dir / "lease.json"
         tmp = lease_path.with_name(f".lease-{worker}-{os.getpid()}.tmp")
         tmp.write_text(payload, encoding="utf-8")
-        reclaim = meta["status"] == "running" or meta["attempts"] > 0
         try:
             if lease_path.exists():
                 # dead-lease takeover, stage 1: atomically rename the dead
@@ -314,6 +313,13 @@ class TaskQueue:
         finally:
             if tmp.exists():
                 tmp.unlink()
+        # the scan's status read may predate a sibling finishing the job and
+        # releasing its lease; holding the lease now, re-read before running
+        meta = _read_json(job_dir / "job.json")
+        if meta is None or meta["status"] not in _CLAIMABLE:
+            lease_path.unlink()
+            return None
+        reclaim = meta["status"] == "running" or meta["attempts"] > 0
         with obs.span("exec.claim", job=meta["id"], worker=worker,
                       reclaim=reclaim):
             meta["status"] = "running"

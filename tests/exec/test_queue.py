@@ -79,6 +79,21 @@ def test_claim_skips_jobs_with_live_leases(tmp_path):
     assert queue.job_meta(job_id)["attempts"] == 1
 
 
+def test_claim_from_a_stale_scan_never_reruns_a_finished_job(tmp_path):
+    queue = make_queue(tmp_path)
+    (job_id,) = queue.enqueue(function_ref(double), [2], ["a"])
+    first = queue.claim("w1", lease_seconds=30.0)
+    # a sibling scans while w1 runs, then w1 finishes and drops its lease
+    stale_meta = queue.job_meta(job_id)
+    queue.complete(first, 4)
+    job_dir = queue.jobs_dir / job_id
+    assert queue._try_claim(job_dir, stale_meta, "w2", 30.0) is None
+    meta = queue.job_meta(job_id)
+    assert meta["status"] == "done" and meta["attempts"] == 1
+    assert not (job_dir / "lease.json").exists()
+    assert "reclaim" not in [e["event"] for e in queue.journal()]
+
+
 def test_expired_lease_is_taken_over_and_counted_as_reclaim(tmp_path):
     queue = make_queue(tmp_path)
     (job_id,) = queue.enqueue(function_ref(double), [5], ["a"])
