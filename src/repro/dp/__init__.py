@@ -5,8 +5,10 @@ partitioned into ``n_shards`` disjoint logical shards; each shard's
 ``1/S``-scaled loss and gradient are combined by a deterministic
 fixed-order pairwise tree reduction (:func:`tree_reduce`), so the float32
 trajectory is bit-identical for every ``world_size``, execution backend,
-and payload arrival order.  See docs/execution.md ("Data-parallel
-training") and :func:`run_dp`.
+and payload arrival order.  Ranks run on one host and exchange shard
+payloads over Unix-domain sockets in a private temp directory
+(:class:`StoreExchange`); a rank that dies fails its peers at once.  See
+docs/execution.md ("Data-parallel training") and :func:`run_dp`.
 
 Only the leaf modules load eagerly; :func:`run_dp` lives in
 :mod:`repro.dp.runner`, which imports :mod:`repro.training` — resolved

@@ -7,7 +7,9 @@ shards.  ``world_size`` (``W``) chooses *placement only*: rank ``r`` hosts
 shards ``{s : s % W == r}``.  Each step, every rank
 
 1. computes the ``1/S``-scaled loss and gradient of each shard it hosts,
-2. exchanges payloads so it holds **all** ``S`` shard contributions,
+2. exchanges payloads so it holds **all** ``S`` shard contributions
+   (over Unix-domain sockets between the ranks of this host,
+   :class:`~repro.dp.exchange.StoreExchange`),
 3. tree-reduces them in ascending shard order
    (:func:`repro.dp.reduce.tree_reduce`), and
 4. applies the identical reduced gradient to its identical optimizer.
@@ -28,10 +30,9 @@ full-batch loss sums residuals in a different order).
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
-import uuid
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from ..api.types import RunResult
 from ..exec import resolve_backend
 from ..nn import FullyConnected
 from ..training import Trainer
-from .exchange import LocalExchange, StoreExchange
+from .exchange import LocalExchange, StoreExchange, socket_path
 from .samplers import SUPPORTED_KINDS, ClusterPlan, make_shard_sampler
 
 __all__ = ["DEFAULT_SHARDS", "DataParallelContext", "run_dp"]
@@ -80,7 +81,8 @@ class _ThreadBackend:
     Ranks run concurrently in daemon threads of the calling process —
     cheap enough to fan a parity matrix across world sizes inside tier-1.
     Eager mode only: ``record_tape`` (compile) patches autodiff module
-    globals and is not thread-safe.
+    globals and is not thread-safe.  The first error raised is re-raised:
+    a failing rank closes its sockets, so its peers fail right after it.
     """
 
     inline = True
@@ -88,13 +90,13 @@ class _ThreadBackend:
     def submit(self, fn, tasks, labels, verbose=False):
         import threading
         results = [None] * len(tasks)
-        errors = [None] * len(tasks)
+        errors = []
 
         def run(index, task):
             try:
                 results[index] = fn(task)
             except BaseException as exc:   # noqa: BLE001 — re-raised below
-                errors[index] = exc
+                errors.append(exc)
 
         threads = [threading.Thread(target=run, args=(i, task), daemon=True)
                    for i, task in enumerate(tasks)]
@@ -102,9 +104,8 @@ class _ThreadBackend:
             thread.start()
         for thread in threads:
             thread.join()
-        for index, exc in enumerate(errors):
-            if exc is not None:
-                raise exc
+        if errors:
+            raise errors[0]
         return results
 
 
@@ -300,6 +301,8 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
     ``queue``) or ``"thread"`` for in-process ranks (eager only), and is
     ignored for ``world_size=1`` which runs inline.  ``validators``
     accepts only ``None`` (the problem's defaults) or ``[]``.
+    ``exchange_timeout`` is the longest a rank waits for a peer to connect
+    or send; a peer that dies fails the run at once instead.
 
     Returns a :class:`~repro.api.RunResult` whose ``history`` is rank 0's;
     the full per-rank results are available on ``result.rank_results``.
@@ -358,13 +361,6 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
     if world_size == 1:
         rank_results = [_train_dp_rank(rank_spec(0, None))]
     else:
-        token = uuid.uuid4().hex[:12]
-        if store_root is not None:
-            exchange_root = Path(store_root) / "dp" / token
-        else:
-            exchange_root = Path(tempfile.mkdtemp(prefix=f"repro-dp-{token}-"))
-        specs = [rank_spec(rank, str(exchange_root))
-                 for rank in range(world_size)]
         labels = [f"{label}[rank{rank}]" for rank in range(world_size)]
         if backend == "thread":
             backend_obj = _ThreadBackend()
@@ -373,6 +369,9 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
             # complete, so the worker count is pinned to world_size
             backend_obj = resolve_backend(backend, max_workers=world_size,
                                           store=store)
+        exchange_root = _exchange_root(world_size)
+        specs = [rank_spec(rank, exchange_root)
+                 for rank in range(world_size)]
         try:
             rank_results = backend_obj.submit(_train_dp_rank, specs, labels)
         finally:
@@ -393,6 +392,22 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
                        obs=head["obs_data"])
     result.rank_results = rank_results
     return result
+
+
+def _exchange_root(world_size):
+    """A fresh private (0700) directory for the ranks' sockets.
+
+    Every placement runs all ranks on this host, so the temp directory is
+    reachable by all of them.  When ``TMPDIR`` is too deep for AF_UNIX
+    socket paths the directory moves to ``/tmp``.
+    """
+    root = tempfile.mkdtemp(prefix="repro-dp-")
+    try:
+        socket_path(root, world_size - 1)
+    except ValueError:
+        os.rmdir(root)
+        root = tempfile.mkdtemp(prefix="repro-dp-", dir="/tmp")
+    return root
 
 
 class _ResultSamplerInfo:

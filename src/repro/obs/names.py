@@ -82,8 +82,8 @@ METRICS = {
     "dp.bytes_reduced": (
         "counter", "payload bytes gathered and tree-reduced across shards"),
     "dp.straggler_wait_seconds": (
-        "counter", "wall seconds spent polling the rendezvous for missing "
-                   "shard payloads"),
+        "counter", "wall seconds a rank spends blocked waiting for peer "
+                   "shard frames"),
     "dp.shards": (
         "gauge", "logical shard count of the data-parallel run"),
 }

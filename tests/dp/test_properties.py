@@ -4,12 +4,11 @@ Hypothesis drives the two invariants the whole design rests on:
 
 * the fixed-order pairwise tree reduction is a pure function of the
   ordered shard contributions — gather order, worker count, and payload
-  routing (in-process vs through the ``.npz`` codec) never change a bit;
+  routing (in-process vs through the socket wire frame) never change a
+  bit;
 * every partition helper produces an exact disjoint cover, for every
   sampler kind the dp mode supports.
 """
-
-import io
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from repro.dp import (
     decode_payload, encode_payload, make_shard_sampler, payload_nbytes,
     shard_batch_sizes, shard_cover, stride_shards, tree_add, tree_reduce,
 )
+from repro.dp.exchange import decode_frame, encode_frame
 from repro.experiments import burgers_config
 
 finite32 = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -138,7 +138,7 @@ def test_tree_add_rejects_mismatched_structures():
 
 
 # ----------------------------------------------------------------------
-# payload codec (the disk rendezvous must be bit-transparent)
+# payload codec (the socket rendezvous must be bit-transparent)
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
 @given(gradient_pytrees(1))
@@ -150,11 +150,11 @@ def test_payload_codec_round_trips_bit_exactly(trees):
         "rebuild_seconds": 0.25,
         "validators": {0: {"u": (1.5, 2.5)}, 2: {"v": (0.0, 1.0)}},
     }
-    buffer = io.BytesIO()
-    np.savez(buffer, **encode_payload(payload))
-    buffer.seek(0)
-    with np.load(buffer) as archive:
-        decoded = decode_payload(archive)
+    # through the bytes that cross the socket, as a peer receives them
+    wire = bytearray(bytes(encode_frame(7, "grad", {3: payload})))
+    step, phase, decoded = decode_frame(wire)
+    assert (step, phase, sorted(decoded)) == (7, "grad", [3])
+    decoded = decoded[3]
     assert np.asarray(decoded["loss"]).tobytes() == \
         np.asarray(payload["loss"]).tobytes()
     assert len(decoded["grads"]) == len(payload["grads"])
@@ -173,6 +173,14 @@ def test_payload_codec_rejects_unknown_and_gapped_keys():
                         "grad0002": np.float32(1)})
     with pytest.raises(ValueError):
         encode_payload({"validators": {0: {"u|v": (1.0, 2.0)}}})
+
+
+def test_wire_frame_rejects_truncation_and_object_arrays():
+    frame = encode_frame(0, "grad", {0: {"grads": [np.ones(3, np.float32)]}})
+    with pytest.raises(ValueError):
+        decode_frame(frame[:-4])
+    with pytest.raises(ValueError):
+        encode_frame(0, "grad", {0: {"grads": [np.array([None])]}})
 
 
 def test_local_exchange_requires_every_shard():
