@@ -244,6 +244,9 @@ class TapeReport:
     #: now adopt the operand dtype, so this should be 0 for every problem —
     #: a nonzero count flags a new upcast leaking into the backward pass
     upcast_gradients: int = 0
+    #: the loss is wider than the parameters (a float64 array, such as a
+    #: sample weight, multiplied into a float32 loss)
+    loss_upcast: bool = False
     n_params: int = 0
     #: whether :func:`repro.autodiff.replay.compile_step` accepts this
     #: problem's training step (including bit-identical self-verification)
@@ -258,6 +261,13 @@ class TapeReport:
         """True when every op and every gradient passed verification."""
         return not self.shape_issues and not self.gradient_issues
 
+    @property
+    def consistent(self):
+        """Shape-consistent, and no loss or gradient wider than the
+        parameters — what ``repro analyze tape`` exits non-zero on."""
+        return (self.shape_consistent and not self.upcast_gradients
+                and not self.loss_upcast)
+
     def to_dict(self):
         return {
             "problem": self.problem, "sampler": self.sampler,
@@ -265,6 +275,7 @@ class TapeReport:
             "loss_shape": list(self.loss_shape),
             "loss_dtype": self.loss_dtype,
             "op_counts": dict(sorted(self.op_counts.items())),
+            "consistent": self.consistent,
             "shape_consistent": self.shape_consistent,
             "shape_issues": self.shape_issues,
             "gradient_issues": self.gradient_issues,
@@ -276,6 +287,7 @@ class TapeReport:
             "duplicate_nodes": self.duplicate_nodes,
             "duplicate_ops": dict(sorted(self.duplicate_ops.items())),
             "upcast_gradients": self.upcast_gradients,
+            "loss_upcast": self.loss_upcast,
             "params": self.n_params,
             "replay_ready": self.replay_ready,
             "replay_refusal": self.replay_refusal,
@@ -306,8 +318,11 @@ class TapeReport:
                      f"constants ({self.rematerialized_bytes} bytes/step), "
                      f"{self.duplicate_subgraphs} duplicate subgraphs "
                      f"({self.duplicate_nodes} redundant nodes)")
+        if self.loss_upcast:
+            lines.append(f"  precision: FAILED — the {self.loss_dtype} loss "
+                         f"is wider than the parameters")
         if self.upcast_gradients:
-            lines.append(f"  precision: {self.upcast_gradients}/"
+            lines.append(f"  precision: FAILED — {self.upcast_gradients}/"
                          f"{self.n_params} gradients arrive wider than "
                          f"their parameter dtype")
         if self.replay_ready:
@@ -342,6 +357,9 @@ def analyze_tape(problem, *, sampler="uniform", scale="smoke", n_interior=64,
                         loss_shape=tuple(loss.data.shape),
                         loss_dtype=str(loss.data.dtype),
                         n_params=len(trainer.params))
+    param_dtype = np.result_type(*[p.data.dtype for p in trainer.params])
+    report.loss_upcast = (np.result_type(param_dtype, loss.data.dtype)
+                          != param_dtype)
 
     # per-op verification + counts over everything the step created
     for node in tape0.nodes:

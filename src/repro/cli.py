@@ -669,9 +669,9 @@ def _cmd_analyze(args):
         for report in reports:
             print(report.format())
             print()
-        consistent = sum(r.shape_consistent for r in reports)
-        print(f"{consistent}/{len(reports)} problem(s) shape-consistent")
-    return 0 if all(r.shape_consistent for r in reports) else 1
+        consistent = sum(r.consistent for r in reports)
+        print(f"{consistent}/{len(reports)} problem(s) consistent")
+    return 0 if all(r.consistent for r in reports) else 1
 
 
 def _cmd_train(args, problem):

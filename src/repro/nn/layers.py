@@ -2,6 +2,12 @@
 
 The paper's networks are fully connected, width 512 × depth 6, with SiLU
 activations and an optional input encoding layer ``phi_E`` (eq. 2).
+
+Each activation carries its first and second derivative beside it, and each
+encoding its coordinate derivatives, so :class:`repro.nn.FullyConnected`
+can push forward Taylor jets (see ``docs/autodiff.md``).  A rule returns
+``None`` for a derivative that is identically one (first) or zero (second),
+and the jet then skips that term.
 """
 
 from __future__ import annotations
@@ -13,16 +19,65 @@ from ..autodiff import Tensor, concat
 from .init import xavier_uniform
 from .module import Module, Parameter
 
-__all__ = ["Linear", "Activation", "FourierEncoding", "Identity", "ACTIVATIONS"]
+__all__ = ["Linear", "Activation", "ActivationRule", "FourierEncoding", "Identity",
+           "ACTIVATIONS"]
+
+
+class ActivationRule:
+    """An elementwise activation ``y = f(z)`` with its derivative rules.
+
+    Calling the rule applies ``f``.  ``first(z, y)`` returns ``f'(z)`` and
+    ``second(z, y, d1)`` returns ``f''(z)``, given ``d1 = first(z, y)``, as
+    tensors built from autodiff ops (so they stay differentiable, recordable
+    and replayable), or ``None`` when the derivative is identically one or
+    zero respectively.
+    """
+
+    def __init__(self, fn, first, second):
+        self.fn = fn
+        self.first = first
+        self.second = second
+
+    def __call__(self, x):
+        return self.fn(x)
+
+
+def _silu_first(z, y):
+    s = ad.sigmoid(z)
+    return s * (1.0 + z * (1.0 - s))
+
+
+def _silu_second(z, y, d1):
+    s = ad.sigmoid(z)
+    return s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
+
+
+def _relu_first(z, y):
+    # relu's derivative is the 0/1 mask its backward multiplies by; reading
+    # it through the op's own VJP keeps that mask a leaf whose provenance
+    # the replay compiler re-derives every step
+    if y._vjp is None:
+        return Tensor((z.data > 0).astype(z.data.dtype))
+    return y._vjp(ad.ones_like(y))[0]
+
+
+def _softplus_second(z, y, d1):
+    return d1 * (1.0 - d1)
+
 
 ACTIVATIONS = {
-    "silu": ad.silu,
-    "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-    "relu": ad.relu,
-    "sin": ad.sin,
-    "softplus": ad.softplus,
-    "identity": lambda x: x,
+    "silu": ActivationRule(ad.silu, _silu_first, _silu_second),
+    "tanh": ActivationRule(ad.tanh, lambda z, y: 1.0 - y * y,
+                           lambda z, y, d1: -2.0 * y * d1),
+    "sigmoid": ActivationRule(ad.sigmoid, lambda z, y: y * (1.0 - y),
+                              lambda z, y, d1: d1 * (1.0 - 2.0 * y)),
+    "relu": ActivationRule(ad.relu, _relu_first, lambda z, y, d1: None),
+    "sin": ActivationRule(ad.sin, lambda z, y: ad.cos(z),
+                          lambda z, y, d1: -y),
+    "softplus": ActivationRule(ad.softplus, lambda z, y: ad.sigmoid(z),
+                               _softplus_second),
+    "identity": ActivationRule(lambda x: x, lambda z, y: None,
+                               lambda z, y, d1: None),
 }
 
 
@@ -73,6 +128,15 @@ class Identity(Module):
     def forward(self, x):
         return x
 
+    def jet(self, x):
+        """``(value, first, second)`` for forward jets.
+
+        ``first(k)`` is ``None``: the derivative along input coordinate
+        ``k`` is the unit vector ``e_k``, which the first linear layer turns
+        into its weight row ``k``.  ``second(a, b)`` is ``None`` (zero).
+        """
+        return x, lambda k: None, lambda a, b: None
+
 
 class FourierEncoding(Module):
     """Random Fourier feature encoding ``[sin(2π x B), cos(2π x B)]``.
@@ -98,3 +162,25 @@ class FourierEncoding(Module):
     def forward(self, x):
         projected = x @ self.frequencies
         return concat([ad.sin(projected), ad.cos(projected)], axis=1)
+
+    def jet(self, x):
+        """``(value, first, second)`` for forward jets.
+
+        With ``p = x B``, the derivative along input coordinate ``k`` is
+        ``[cos(p) B_k, -sin(p) B_k]`` and along ``(a, b)`` it is
+        ``[-sin(p) B_a B_b, -cos(p) B_a B_b]``, ``B_k`` being row ``k`` of
+        the frequency matrix.
+        """
+        projected = x @ self.frequencies
+        sin, cos = ad.sin(projected), ad.cos(projected)
+        rows = self.frequencies
+
+        def first(k):
+            row = rows[k:k + 1]
+            return concat([cos * row, -(sin * row)], axis=1)
+
+        def second(a, b):
+            row = rows[a:a + 1] * rows[b:b + 1]
+            return concat([-(sin * row), -(cos * row)], axis=1)
+
+        return concat([sin, cos], axis=1), first, second

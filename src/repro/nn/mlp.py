@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import autodiff as ad
 from .layers import ACTIVATIONS, Identity, Linear
 from .module import Module
 
-__all__ = ["FullyConnected"]
+__all__ = ["FullyConnected", "Jet"]
 
 
 class FullyConnected(Module):
@@ -57,3 +58,108 @@ class FullyConnected(Module):
         for layer in self.layers:
             h = self._act(layer(h))
         return self.head(h)
+
+    def jet(self, x):
+        """Evaluate the network on ``x`` as a :class:`Jet`: the output value
+        plus coordinate derivatives of it, each computed when first asked
+        for."""
+        return Jet(self, x)
+
+
+class Jet:
+    """A network output and its on-demand derivatives along input columns.
+
+    The value pass runs the same ops as :meth:`FullyConnected.forward` and
+    keeps each layer's pre-activation ``z`` and activation ``h``.  A first
+    derivative along input column ``k`` is one forward tangent pass,
+    ``z_k <- (f'(z) z_k) W`` per layer; a second derivative along
+    ``(a, b)`` is one pass of ``h_ab = f''(z) z_a z_b + f'(z) z_ab``, which
+    reuses the first-order tangents of ``a`` and ``b``.  Every pass is built
+    from autodiff ops, so the parameter backward, record/replay and further
+    reverse-mode derivatives see an ordinary graph.  Directions nobody
+    requests are never built.
+    """
+
+    def __init__(self, net, x):
+        self._net = net
+        self._rows = x.shape[0]
+        h, self._enc_first, self._enc_second = net.encoding.jet(x)
+        self._pre, self._post = [], []
+        for layer in net.layers:
+            z = layer(h)
+            h = net._act(z)
+            self._pre.append(z)
+            self._post.append(h)
+        #: ``(n, out)`` network output, bit-identical to ``net(x)``
+        self.value = net.head(h)
+        self._f1, self._f2 = {}, {}
+        self._tangents, self._first, self._second = {}, {}, {}
+
+    def _act_first(self, i):
+        if i not in self._f1:
+            self._f1[i] = self._net._act.first(self._pre[i], self._post[i])
+        return self._f1[i]
+
+    def _act_second(self, i):
+        if i not in self._f2:
+            self._f2[i] = self._net._act.second(
+                self._pre[i], self._post[i], self._act_first(i))
+        return self._f2[i]
+
+    def _full(self, out):
+        # a net that is affine in its input has batch-constant derivatives;
+        # give them the batch's row count like every other field
+        if out.shape[0] != self._rows:
+            out = ad.broadcast_to(out, (self._rows, out.shape[1]))
+        return out
+
+    def _pre_tangents(self, k):
+        """Per-layer pre-activation derivatives along input column ``k``."""
+        if k not in self._tangents:
+            layers = self._net.layers
+            t = self._enc_first(k)
+            z = layers[0].weight[k:k + 1] if t is None else t @ layers[0].weight
+            tangents = [z]
+            for i in range(1, len(layers)):
+                tangents.append(self._act_tangent(i - 1, z) @ layers[i].weight)
+                z = tangents[-1]
+            self._tangents[k] = tangents
+        return self._tangents[k]
+
+    def _act_tangent(self, i, z):
+        f1 = self._act_first(i)
+        return z if f1 is None else f1 * z
+
+    def first(self, k):
+        """``(n, out)`` derivative of the output along input column ``k``."""
+        if k not in self._first:
+            z = self._pre_tangents(k)[-1]
+            out = self._act_tangent(len(self._pre) - 1, z) @ self._net.head.weight
+            self._first[k] = self._full(out)
+        return self._first[k]
+
+    def second(self, a, b):
+        """``(n, out)`` second derivative along input columns ``a`` and
+        ``b`` (symmetric: ``second(a, b)`` is ``second(b, a)``)."""
+        key = (min(a, b), max(a, b))
+        if key not in self._second:
+            a, b = key
+            za, zb = self._pre_tangents(a), self._pre_tangents(b)
+            layers = self._net.layers
+            t = self._enc_second(a, b)
+            zab = None if t is None else t @ layers[0].weight
+            for i in range(len(layers)):
+                h = None
+                f2 = self._act_second(i)
+                if f2 is not None:
+                    h = f2 * (za[i] * zb[i])
+                if zab is not None:
+                    term = self._act_tangent(i, zab)
+                    h = term if h is None else h + term
+                weight = (layers[i + 1].weight if i + 1 < len(layers)
+                          else self._net.head.weight)
+                zab = None if h is None else h @ weight
+            if zab is None:
+                zab = ad.zeros_like(self.value)
+            self._second[key] = self._full(zab)
+        return self._second[key]

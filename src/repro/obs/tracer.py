@@ -118,7 +118,8 @@ class Tracer:
     ``stream`` / ``metrics_stream`` are optional paths; when given, closed
     spans and metric snapshots are appended there as JSONL (the same
     torn-tail-tolerant format as ``history.jsonl``), buffered and flushed
-    every ``flush_every`` records and on :meth:`flush`.
+    once ``flush_every`` records are buffered and at most one span is
+    still open on the closing thread, and on :meth:`flush`.
     """
 
     def __init__(self, stream=None, metrics_stream=None, flush_every=64):
@@ -186,7 +187,11 @@ class Tracer:
             self._spans.append(span)
             if self._stream is not None:
                 self._span_buffer.append(span.to_dict())
-                if len(self._span_buffer) >= self._flush_every:
+                # write only between top-level regions (e.g. between
+                # training steps), so the file I/O never lands inside a
+                # span that is still being timed
+                if (len(self._span_buffer) >= self._flush_every
+                        and len(stack) <= 1):
                     self._flush_spans_locked()
 
     # -- metrics --------------------------------------------------------

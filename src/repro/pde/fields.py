@@ -1,10 +1,21 @@
 """Field bundle: named tensors plus memoized derivatives.
 
 PINN residuals need many partial derivatives of the same network outputs with
-respect to the same coordinates (eq. 3).  :class:`Fields` computes the
-gradient of a field with respect to *all* registered coordinates in a single
-reverse pass and caches every component, so e.g. requesting ``d("u", "x")``
-and then ``d("u", "y")`` costs one backward sweep, not two.
+respect to the same coordinates (eq. 3).  :class:`Fields` answers them two
+ways:
+
+* a network output registered with its forward jet (see
+  :meth:`Fields.evaluate` and :class:`repro.nn.Jet`) takes ``d`` and ``d2``
+  from forward tangent passes through the network, built the first time a
+  direction is asked for and shared by every output column;
+* any other field — a closure output, a flux term, a plain registered
+  tensor, or a network without a ``jet`` method — is differentiated in
+  reverse mode: one ``gradients`` pass per field yields its derivative along
+  every coordinate at once, and ``d2`` differentiates that result again.
+
+Both answers are cached, so repeated requests cost nothing.  Reverse passes
+run through jet graphs too, which keeps higher derivatives of jet-derived
+quantities exact.
 """
 
 from __future__ import annotations
@@ -19,9 +30,8 @@ class Fields:
 
     Typical use::
 
-        fields = Fields.from_features(features, spatial_names=("x", "y"))
-        out = net(fields.input_tensor())
-        fields.register("u", out[:, 0:1])
+        fields = Fields.evaluate(net, features, ("u", "v", "p"),
+                                 spatial_names=("x", "y"))
         du_dx = fields.d("u", "x")
         d2u_dx2 = fields.d2("u", "x", "x")
     """
@@ -30,6 +40,8 @@ class Fields:
         self._coords = {}
         self._values = {}
         self._grad_cache = {}
+        #: field name -> (jet, output column) for jet-backed network outputs
+        self._jets = {}
         self._input = None
 
     # ------------------------------------------------------------------
@@ -54,6 +66,29 @@ class Fields:
             fields._values[name] = column
         return fields
 
+    @classmethod
+    def evaluate(cls, net, features, output_names, spatial_names=("x", "y"),
+                 param_names=()):
+        """Run ``net`` on a feature batch and register its output columns.
+
+        A network with a ``jet`` method registers each output with its jet,
+        so coordinate derivatives come from forward passes; any other
+        network's outputs are differentiated in reverse mode.
+        """
+        fields = cls.from_features(features, spatial_names=spatial_names,
+                                   param_names=param_names)
+        jet = getattr(net, "jet", None)
+        if jet is None:
+            outputs = net(fields.input_tensor())
+        else:
+            jet = jet(fields.input_tensor())
+            outputs = jet.value
+        for i, name in enumerate(output_names):
+            fields.register(name, outputs[:, i:i + 1])
+            if jet is not None:
+                fields._jets[name] = (jet, i)
+        return fields
+
     def input_tensor(self):
         """Concatenate coordinate columns into the network input tensor."""
         if self._input is None:
@@ -71,6 +106,7 @@ class Fields:
     def register(self, name, tensor):
         """Register a named field (e.g. a network output column)."""
         self._values[name] = tensor
+        self._jets.pop(name, None)
 
     def __contains__(self, name):
         return name in self._values
@@ -85,23 +121,42 @@ class Fields:
     # ------------------------------------------------------------------
     # Derivatives
     # ------------------------------------------------------------------
+    def _column(self, coord_name):
+        if coord_name not in self._coords:
+            raise KeyError(f"unknown coordinate {coord_name!r}; "
+                           f"have {list(self._coords)}")
+        return list(self._coords).index(coord_name)
+
     def d(self, field_name, coord_name):
         """First derivative ``∂ field / ∂ coord`` (cached)."""
         key = (field_name, coord_name)
         if key not in self._grad_cache:
-            field = self.get(field_name)
-            coords = list(self._coords.values())
-            grads = gradients(field.sum(), coords)
-            for cname, grad in zip(self._coords, grads):
-                self._grad_cache[(field_name, cname)] = grad
+            if field_name in self._jets:
+                jet, col = self._jets[field_name]
+                first = jet.first(self._column(coord_name))
+                self._grad_cache[key] = first[:, col:col + 1]
+            else:
+                field = self.get(field_name)
+                coords = list(self._coords.values())
+                grads = gradients(field.sum(), coords)
+                for cname, grad in zip(self._coords, grads):
+                    self._grad_cache[(field_name, cname)] = grad
         return self._grad_cache[key]
 
     def d2(self, field_name, coord_a, coord_b):
         """Second derivative ``∂² field / ∂ coord_a ∂ coord_b`` (cached).
 
-        Implemented as the derivative of the cached first derivative, so the
+        A jet-backed field takes it from one forward second-order pass;
+        any other field differentiates its cached first derivative, so the
         backward-of-backward graph is shared across calls.
         """
+        if field_name in self._jets:
+            a, b = sorted((self._column(coord_a), self._column(coord_b)))
+            key = (field_name, a, b)
+            if key not in self._grad_cache:
+                jet, col = self._jets[field_name]
+                self._grad_cache[key] = jet.second(a, b)[:, col:col + 1]
+            return self._grad_cache[key]
         first = self.d(field_name, coord_a)
         derived_name = f"d({field_name})/d({coord_a})"
         if derived_name not in self._values:

@@ -56,12 +56,10 @@ class Constraint:
 
     def build_fields(self, net, indices):
         """Forward the network on a batch and register outputs as fields."""
-        fields = Fields.from_features(self._features[indices],
-                                      spatial_names=self.spatial_names,
-                                      param_names=self.cloud.param_names)
-        outputs = net(fields.input_tensor())
-        for i, name in enumerate(self.output_names):
-            fields.register(name, outputs[:, i:i + 1])
+        fields = Fields.evaluate(net, self._features[indices],
+                                 self.output_names,
+                                 spatial_names=self.spatial_names,
+                                 param_names=self.cloud.param_names)
         for name, source in self.field_sources.items():
             value = np.asarray(source(self.cloud.coords[indices],
                                       self.cloud.params[indices]),

@@ -217,7 +217,10 @@ class Trainer:
             weight = constraint.sample_weight_for(indices)
             importance = sampler.batch_weights(indices)
             if importance is not None:
-                imp = importance.reshape(-1, 1)
+                # cast to the constraint's working precision, like the sdf
+                # weight: float64 importance would upcast a float32 loss
+                imp = importance.reshape(-1, 1).astype(constraint.dtype,
+                                                       copy=False)
                 weight = imp if weight is None else weight * imp
             weights[constraint.name] = weight
         return batches, weights
@@ -269,28 +272,35 @@ class Trainer:
         context all ``S`` shard contributions are allreduced first.
         """
         if self.dp is None:
-            loss, grads = self._shard_step(step, 0)
-            self._totals = self._shard_totals(0)
+            loss, grads, self._totals = self._shard_step(step, 0)
         else:
             local = {}
             for shard in self.owned:
                 with obs.span("dp.shard", shard=shard):
-                    loss, grads = self._shard_step(step, shard)
+                    loss, grads, totals = self._shard_step(step, shard)
                     local[shard] = {"loss": _array(loss),
                                     "grads": [_array(g) for g in grads],
-                                    **self._shard_totals(shard)}
+                                    **totals}
             reduced = self._allreduce(step, "grad", local)
             loss, grads = reduced["loss"], reduced["grads"]
             self._totals = {key: reduced[key] for key in self._totals}
         with obs.span("train.optimizer"):
             self.optimizer.step(grads)
+            if self.scheduler is not None:
+                self.scheduler.step()
         return float(_array(loss).item())
 
     def _shard_step(self, step, shard):
-        """One shard's ``(loss, grads)``: eager, traced, or replayed."""
-        replay = self.replay_states.get(shard)
+        """One shard's ``(loss, grads, sampler totals)``: eager, traced, or
+        replayed."""
         with obs.span("train.sample"):
             batches, weights = self._step_batches(step, shard)
+            totals = self._shard_totals(shard)
+        return (*self._shard_grads(shard, batches, weights), totals)
+
+    def _shard_grads(self, shard, batches, weights):
+        """One shard's ``(loss, grads)`` for pre-drawn batches."""
+        replay = self.replay_states.get(shard)
         if replay is not None and replay.program is not None:
             try:
                 with obs.span("train.replay"):
@@ -310,7 +320,10 @@ class Trainer:
         with obs.span("train.forward"):
             loss = self._assemble_loss(batches, weights)
         with obs.span("train.backward"):
-            grads = gradients(loss, self.params)
+            grads = [g.data for g in gradients(loss, self.params)]
+            # keep plain arrays only, so the step's graph is released
+            # inside a timed phase rather than after it
+            loss = loss.data
         return loss, grads
 
     def _traced_step(self, replay, batches, weights):
@@ -536,8 +549,6 @@ class Trainer:
                         loss_value = self._closure_step(step)
                     else:
                         loss_value = self._step(step)
-                    if self.scheduler is not None:
-                        self.scheduler.step()
 
                     rebuilt = self._totals["rebuild_seconds"]
                     if self.background_rebuild and rebuilt > credited:
@@ -575,6 +586,7 @@ class Trainer:
         """Drive a closure-based optimizer (L-BFGS) on one fixed batch."""
         with obs.span("train.sample"):
             batches, weights = self._step_batches(step)
+            self._totals = self._shard_totals(0)
 
         def closure():
             with obs.span("train.forward"):
@@ -585,7 +597,8 @@ class Trainer:
 
         with obs.span("train.optimizer"):
             loss_value = self.optimizer.step_closure(closure)
-        self._totals = self._shard_totals(0)
+            if self.scheduler is not None:
+                self.scheduler.step()
         return loss_value
 
 

@@ -119,22 +119,24 @@ class PointwiseValidator:
 
     def evaluate(self, net):
         """Return ``{var: relative_l2}`` for every referenced variable."""
-        fields = Fields.from_features(self.features,
-                                      spatial_names=self.spatial_names,
-                                      param_names=self.param_names)
-        outputs = net(fields.input_tensor())
-        for i, var in enumerate(self.output_names):
-            fields.register(var, outputs[:, i:i + 1])
+        predicted = self._predict(net, slice(None))
+        return {var: relative_l2(predicted[var], reference)
+                for var, reference in self.references.items()}
+
+    def _predict(self, net, rows):
+        """``{var: (n,) prediction}`` for every referenced variable."""
+        fields = Fields.evaluate(net, self.features[rows], self.output_names,
+                                 spatial_names=self.spatial_names,
+                                 param_names=self.param_names)
         if self.sdf is not None:
-            fields.register("sdf", Tensor(self.sdf.reshape(-1, 1)))
-        results = {}
-        for var, reference in self.references.items():
-            if var in self.derived:
-                predicted = self.derived[var](fields).numpy()
-            else:
-                predicted = fields.get(var).numpy()
-            results[var] = relative_l2(predicted, reference)
-        return results
+            fields.register("sdf", Tensor(self.sdf[rows].reshape(-1, 1)))
+        predicted = {}
+        for var in self.references:
+            tensor = (self.derived[var](fields) if var in self.derived
+                      else fields.get(var))
+            predicted[var] = np.asarray(tensor.numpy(),
+                                        dtype=np.float64).ravel()
+        return predicted
 
     def evaluate_partial(self, net, rows):
         """Partial squared sums over a row subset, for sharded validation.
@@ -147,22 +149,10 @@ class PointwiseValidator:
         rows = np.asarray(rows, dtype=int)
         if rows.size == 0:
             return {var: (0.0, 0.0) for var in self.references}
-        fields = Fields.from_features(self.features[rows],
-                                      spatial_names=self.spatial_names,
-                                      param_names=self.param_names)
-        outputs = net(fields.input_tensor())
-        for i, var in enumerate(self.output_names):
-            fields.register(var, outputs[:, i:i + 1])
-        if self.sdf is not None:
-            fields.register("sdf", Tensor(self.sdf[rows].reshape(-1, 1)))
+        predicted = self._predict(net, rows)
         results = {}
         for var, reference in self.references.items():
-            if var in self.derived:
-                predicted = self.derived[var](fields).numpy()
-            else:
-                predicted = fields.get(var).numpy()
-            predicted = np.asarray(predicted, dtype=np.float64).ravel()
             reference = reference[rows]
-            results[var] = (float(((predicted - reference) ** 2).sum()),
+            results[var] = (float(((predicted[var] - reference) ** 2).sum()),
                             float((reference ** 2).sum()))
         return results

@@ -11,7 +11,7 @@ import pytest
 
 import repro.api.problems  # noqa: F401  (populate the registry)
 from repro.analysis import analyze_tape, trace_training_step
-from repro.api.registry import list_problems
+from repro.api.registry import list_problems, list_samplers
 from repro.autodiff import Tensor, op_name, record_tape
 
 
@@ -19,21 +19,25 @@ def test_burgers_tape_structure_is_pinned():
     report = analyze_tape("burgers")
     assert report.shape_consistent, (report.shape_issues,
                                      report.gradient_issues)
-    assert report.n_nodes == 107
-    assert report.n_constants == 19
+    # the residual's u_t, u_x and u_xx are forward jet passes through the
+    # 2-layer tanh net: no reverse pass (and so no transpose) in the forward
+    # graph, and no dead first-derivative components
+    assert report.n_nodes == 63
+    assert report.n_constants == 9
     assert report.n_params == 6
     assert report.loss_shape == ()
     assert report.loss_dtype == "float32"
-    assert report.op_counts["matmul"] == 22
-    assert report.op_counts["mul"] == 22
-    assert report.op_counts["transpose"] == 18
-    assert report.op_counts["add"] == 13
-    assert report.op_counts["sum_"] == 10
+    assert report.op_counts["matmul"] == 12
+    assert report.op_counts["mul"] == 21
+    assert "transpose" not in report.op_counts
+    assert report.op_counts["add"] == 9
+    assert report.op_counts["sum_"] == 2
     assert report.op_counts["tanh"] == 4
-    assert report.dead_nodes == 32
-    assert report.duplicate_subgraphs == 9
-    assert report.duplicate_nodes == 9
+    assert report.dead_nodes == 0
+    assert report.duplicate_subgraphs == 6
+    assert report.duplicate_nodes == 6
     assert report.upcast_gradients == 0
+    assert not report.loss_upcast and report.consistent
 
 
 @pytest.mark.parametrize("problem", list_problems())
@@ -46,6 +50,28 @@ def test_every_registered_problem_is_shape_consistent(problem):
     # a scalar loss with a gradient for every parameter
     assert report.loss_shape == ()
     assert not report.gradient_issues
+
+
+@pytest.mark.parametrize("sampler", list_samplers())
+def test_float32_loss_and_gradients_under_every_sampler(sampler):
+    """Sample and importance weights adopt the constraint dtype, so no
+    sampler widens a float32 loss (ldc: sdf-weighted interior)."""
+    report = analyze_tape("ldc", sampler=sampler)
+    assert report.loss_dtype == "float32"
+    assert report.upcast_gradients == 0
+    assert not report.loss_upcast
+    assert report.consistent
+
+
+def test_an_upcast_is_a_consistency_failure():
+    report = analyze_tape("burgers")
+    assert report.consistent
+    report.upcast_gradients = 1
+    assert report.shape_consistent and not report.consistent
+    assert "precision: FAILED" in report.format()
+    report.upcast_gradients, report.loss_upcast = 0, True
+    assert not report.consistent
+    assert report.to_dict()["consistent"] is False
 
 
 def test_report_round_trips_to_dict():

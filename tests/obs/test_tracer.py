@@ -208,6 +208,21 @@ class TestPersistence:
         tracer.flush()
         assert [r["name"] for r in read_jsonl(path)] == ["a", "b", "c"]
 
+    def test_flush_waits_until_the_timed_region_closes(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        tracer = Tracer(stream=path, flush_every=2)
+        with tracer.span("run"):
+            with tracer.span("step"):
+                with tracer.span("a"):
+                    pass
+                with tracer.span("b"):
+                    pass               # buffer full, but "step" is timed
+                assert not path.exists()
+            # closing the step leaves only "run" open: the write lands
+            # between steps, outside every timed step
+            assert [r["name"] for r in read_jsonl(path)] == ["a", "b",
+                                                             "step"]
+
     def test_metrics_stream(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         tracer = Tracer(metrics_stream=path)

@@ -496,7 +496,27 @@ def test_analyze_tape_burgers_json(capsys):
     (report,) = payload["reports"]
     assert report["problem"] == "burgers"
     assert report["shape_consistent"] is True
-    assert report["op_counts"]["matmul"] == 22
+    assert report["consistent"] is True
+    assert report["op_counts"]["matmul"] == 12
+
+
+def test_analyze_tape_fails_on_a_widened_loss(monkeypatch, capsys):
+    import numpy as np
+
+    from repro.training.trainer import Trainer
+
+    draw = Trainer._step_batches
+
+    def float64_weights(self, step, shard=0):
+        batches, weights = draw(self, step, shard)
+        return batches, {name: np.ones((len(batches[name]), 1))
+                         for name in weights}
+
+    monkeypatch.setattr(Trainer, "_step_batches", float64_weights)
+    assert main(["analyze", "tape", "--problem", "burgers"]) == 1
+    out = capsys.readouterr().out
+    assert "dtype=float64" in out and "precision: FAILED" in out
+    assert "0/1 problem(s) consistent" in out
 
 
 def test_analyze_tape_unknown_problem(capsys):
