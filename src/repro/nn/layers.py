@@ -24,60 +24,78 @@ __all__ = ["Linear", "Activation", "ActivationRule", "FourierEncoding", "Identit
 
 
 class ActivationRule:
-    """An elementwise activation ``y = f(z)`` with its derivative rules.
+    """An elementwise activation ``y = f(z)`` defined by its jet.
 
-    Calling the rule applies ``f``.  ``first(z, y)`` returns ``f'(z)`` and
-    ``second(z, y, d1)`` returns ``f''(z)``, given ``d1 = first(z, y)``, as
-    tensors built from autodiff ops (so they stay differentiable, recordable
-    and replayable), or ``None`` when the derivative is identically one or
-    zero respectively.
+    ``jet(z)`` returns ``(y, first, second)``: the value, a thunk
+    ``first()`` giving ``f'(z)``, and ``second(d1)`` giving ``f''(z)`` from
+    ``d1 = first()``.  The derivatives are tensors built from autodiff ops,
+    so they stay differentiable, recordable and replayable, or ``None`` when
+    identically one (``first``) or zero (``second``).  The thunks share the
+    value pass's intermediates and build nothing until called.  Calling the
+    rule returns ``y`` alone.
     """
 
-    def __init__(self, fn, first, second):
-        self.fn = fn
-        self.first = first
-        self.second = second
+    def __init__(self, jet):
+        self.jet = jet
 
     def __call__(self, x):
-        return self.fn(x)
+        return self.jet(x)[0]
 
 
-def _silu_first(z, y):
+def _silu(z):
     s = ad.sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
+    y = z * s                      # the ops of ``ad.silu``: the same bits
+
+    def second(d1):
+        return s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
+    return y, lambda: s + y * (1.0 - s), second
 
 
-def _silu_second(z, y, d1):
-    s = ad.sigmoid(z)
-    return s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
+def _tanh(z):
+    y = ad.tanh(z)
+    return y, lambda: 1.0 - y * y, lambda d1: -2.0 * y * d1
 
 
-def _relu_first(z, y):
-    # relu's derivative is the 0/1 mask its backward multiplies by; reading
-    # it through the op's own VJP keeps that mask a leaf whose provenance
-    # the replay compiler re-derives every step
-    if y._vjp is None:
-        return Tensor((z.data > 0).astype(z.data.dtype))
-    return y._vjp(ad.ones_like(y))[0]
+def _sigmoid(z):
+    y = ad.sigmoid(z)
+    return y, lambda: y * (1.0 - y), lambda d1: d1 * (1.0 - 2.0 * y)
 
 
-def _softplus_second(z, y, d1):
-    return d1 * (1.0 - d1)
+def _relu(z):
+    y = ad.relu(z)
+
+    def first():
+        # relu's derivative is the 0/1 mask its backward multiplies by;
+        # reading it through the op's own VJP keeps that mask a leaf whose
+        # provenance the replay compiler re-derives every step
+        if y._vjp is None:
+            return Tensor((z.data > 0).astype(z.data.dtype))
+        return y._vjp(ad.ones_like(y))[0]
+    return y, first, lambda d1: None
+
+
+def _sin(z):
+    y = ad.sin(z)
+    return y, lambda: ad.cos(z), lambda d1: -y
+
+
+def _softplus(z):
+    y = ad.softplus(z)
+    return y, lambda: ad.sigmoid(z), lambda d1: d1 * (1.0 - d1)
+
+
+def _identity(z):
+    return z, lambda: None, lambda d1: None
 
 
 ACTIVATIONS = {
-    "silu": ActivationRule(ad.silu, _silu_first, _silu_second),
-    "tanh": ActivationRule(ad.tanh, lambda z, y: 1.0 - y * y,
-                           lambda z, y, d1: -2.0 * y * d1),
-    "sigmoid": ActivationRule(ad.sigmoid, lambda z, y: y * (1.0 - y),
-                              lambda z, y, d1: d1 * (1.0 - 2.0 * y)),
-    "relu": ActivationRule(ad.relu, _relu_first, lambda z, y, d1: None),
-    "sin": ActivationRule(ad.sin, lambda z, y: ad.cos(z),
-                          lambda z, y, d1: -y),
-    "softplus": ActivationRule(ad.softplus, lambda z, y: ad.sigmoid(z),
-                               _softplus_second),
-    "identity": ActivationRule(lambda x: x, lambda z, y: None,
-                               lambda z, y, d1: None),
+    "silu": ActivationRule(_silu),
+    "tanh": ActivationRule(_tanh),
+    "sigmoid": ActivationRule(_sigmoid),
+    "relu": ActivationRule(_relu),
+    "sin": ActivationRule(_sin),
+    "softplus": ActivationRule(_softplus),
+    "identity": ActivationRule(_identity),
 }
 
 

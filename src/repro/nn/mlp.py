@@ -84,12 +84,11 @@ class Jet:
         self._net = net
         self._rows = x.shape[0]
         h, self._enc_first, self._enc_second = net.encoding.jet(x)
-        self._pre, self._post = [], []
+        #: per layer: the activation's ``(first, second)`` derivative thunks
+        self._act_rules = []
         for layer in net.layers:
-            z = layer(h)
-            h = net._act(z)
-            self._pre.append(z)
-            self._post.append(h)
+            h, first, second = net._act.jet(layer(h))
+            self._act_rules.append((first, second))
         #: ``(n, out)`` network output, bit-identical to ``net(x)``
         self.value = net.head(h)
         self._f1, self._f2 = {}, {}
@@ -97,13 +96,12 @@ class Jet:
 
     def _act_first(self, i):
         if i not in self._f1:
-            self._f1[i] = self._net._act.first(self._pre[i], self._post[i])
+            self._f1[i] = self._act_rules[i][0]()
         return self._f1[i]
 
     def _act_second(self, i):
         if i not in self._f2:
-            self._f2[i] = self._net._act.second(
-                self._pre[i], self._post[i], self._act_first(i))
+            self._f2[i] = self._act_rules[i][1](self._act_first(i))
         return self._f2[i]
 
     def _full(self, out):
@@ -134,7 +132,7 @@ class Jet:
         """``(n, out)`` derivative of the output along input column ``k``."""
         if k not in self._first:
             z = self._pre_tangents(k)[-1]
-            out = self._act_tangent(len(self._pre) - 1, z) @ self._net.head.weight
+            out = self._act_tangent(len(self._act_rules) - 1, z) @ self._net.head.weight
             self._first[k] = self._full(out)
         return self._first[k]
 
