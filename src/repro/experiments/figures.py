@@ -9,7 +9,7 @@ import numpy as np
 
 from ..pde import Fields
 from ..utils import ascii_plot
-from .annular_ring import PARAM_NAMES, ar_reference
+from .annular_ring import OUTPUT_NAMES, PARAM_NAMES, ar_reference
 
 __all__ = ["error_curves", "curves_to_csv", "render_curves",
            "pressure_error_fields"]
@@ -63,9 +63,9 @@ def pressure_error_fields(results, config, r_inner=1.0):
     out = {"xs": reference["xs"], "ys": reference["ys"], "mask": mask,
            "fields": {}, "mean_abs_error": {}}
     for label, result in results.items():
-        fields = Fields.from_features(features, param_names=PARAM_NAMES)
-        outputs = result.net(fields.input_tensor())
-        p_pred = outputs.numpy()[:, 2]
+        fields = Fields.evaluate(result.net, features, OUTPUT_NAMES,
+                                 param_names=PARAM_NAMES)
+        p_pred = fields.get("p").numpy()[:, 0]
         error = np.abs(p_pred - reference["p"][mask])
         field = np.full(mask.shape, np.nan)
         field[mask] = error

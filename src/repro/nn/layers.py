@@ -5,9 +5,7 @@ activations and an optional input encoding layer ``phi_E`` (eq. 2).
 
 Each activation carries its first and second derivative beside it, and each
 encoding its coordinate derivatives, so :class:`repro.nn.FullyConnected`
-can push forward Taylor jets (see ``docs/autodiff.md``).  A rule returns
-``None`` for a derivative that is identically one (first) or zero (second),
-and the jet then skips that term.
+can push forward Taylor jets (see ``docs/autodiff.md``).
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from ..autodiff import Tensor, concat
 from .init import xavier_uniform
 from .module import Module, Parameter
 
-__all__ = ["Linear", "Activation", "ActivationRule", "FourierEncoding", "Identity",
-           "ACTIVATIONS"]
+__all__ = ["Linear", "Activation", "ActivationRule", "FourierEncoding",
+           "Identity", "ACTIVATIONS"]
 
 
 class ActivationRule:

@@ -70,8 +70,8 @@ class Jet:
     """A network output and its on-demand derivatives along input columns.
 
     The value pass runs the same ops as :meth:`FullyConnected.forward` and
-    keeps each layer's pre-activation ``z`` and activation ``h``.  A first
-    derivative along input column ``k`` is one forward tangent pass,
+    keeps each layer's activation derivative thunks.  A first derivative
+    along input column ``k`` is one forward tangent pass,
     ``z_k <- (f'(z) z_k) W`` per layer; a second derivative along
     ``(a, b)`` is one pass of ``h_ab = f''(z) z_a z_b + f'(z) z_ab``, which
     reuses the first-order tangents of ``a`` and ``b``.  Every pass is built
@@ -116,7 +116,8 @@ class Jet:
         if k not in self._tangents:
             layers = self._net.layers
             t = self._enc_first(k)
-            z = layers[0].weight[k:k + 1] if t is None else t @ layers[0].weight
+            w = layers[0].weight
+            z = w[k:k + 1] if t is None else t @ w
             tangents = [z]
             for i in range(1, len(layers)):
                 tangents.append(self._act_tangent(i - 1, z) @ layers[i].weight)
@@ -131,9 +132,9 @@ class Jet:
     def first(self, k):
         """``(n, out)`` derivative of the output along input column ``k``."""
         if k not in self._first:
-            z = self._pre_tangents(k)[-1]
-            out = self._act_tangent(len(self._act_rules) - 1, z) @ self._net.head.weight
-            self._first[k] = self._full(out)
+            last = len(self._act_rules) - 1
+            h = self._act_tangent(last, self._pre_tangents(k)[last])
+            self._first[k] = self._full(h @ self._net.head.weight)
         return self._first[k]
 
     def second(self, a, b):

@@ -67,8 +67,8 @@ class Fields:
         return fields
 
     @classmethod
-    def evaluate(cls, net, features, output_names, spatial_names=("x", "y"),
-                 param_names=()):
+    def evaluate(cls, net, features, output_names,
+                 spatial_names=("x", "y"), param_names=()):
         """Run ``net`` on a feature batch and register its output columns.
 
         A network with a ``jet`` method registers each output with its jet,
