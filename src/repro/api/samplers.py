@@ -9,7 +9,7 @@ to the paper's defaults when a config does not define them.
 
 from __future__ import annotations
 
-from ..sampling import MISSampler, SGMSampler, UniformSampler
+from ..sampling import ClusterPlan, MISSampler, SGMSampler, UniformSampler
 from .registry import register_sampler, sampler_registry
 
 __all__ = ["make_sampler"]
@@ -35,9 +35,10 @@ def _mis(config, interior_cloud, seed):
 
 
 def _sgm(config, interior_cloud, seed, use_isr):
+    plan = ClusterPlan(interior_cloud.features(), 1, k=config.knn_k,
+                       level=config.lrd_level, seed=seed)
     return SGMSampler(
-        interior_cloud.features(), k=config.knn_k,
-        level=config.lrd_level, tau_e=config.tau_e, tau_G=config.tau_G,
+        plan, tau_e=config.tau_e, tau_G=config.tau_G,
         probe_ratio=config.probe_ratio,
         use_isr=use_isr,
         isr_weight=getattr(config, "isr_weight", 1.0),

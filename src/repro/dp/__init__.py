@@ -20,17 +20,16 @@ from __future__ import annotations
 
 from .exchange import (LocalExchange, StoreExchange, decode_payload,
                        encode_payload)
-from .partition import (assign_clusters, check_disjoint_cover,
-                        shard_batch_sizes, stride_shards)
+from .partition import check_disjoint_cover, shard_batch_sizes, stride_shards
 from .reduce import payload_nbytes, tree_add, tree_reduce
-from .samplers import (SUPPORTED_KINDS, ClusterPlan, ShardSampler,
-                       ShardSGMSampler, make_shard_sampler, shard_cover)
+from .samplers import (SUPPORTED_KINDS, ShardSampler, make_shard_sampler,
+                       shard_cover)
 
 __all__ = [
     "DEFAULT_SHARDS", "DataParallelContext", "LocalExchange",
-    "StoreExchange", "ClusterPlan", "ShardSampler", "ShardSGMSampler",
-    "SUPPORTED_KINDS", "assign_clusters", "check_disjoint_cover",
-    "decode_payload", "encode_payload", "make_shard_sampler",
+    "StoreExchange", "ShardSampler", "SUPPORTED_KINDS",
+    "check_disjoint_cover", "decode_payload", "encode_payload",
+    "make_shard_sampler",
     "payload_nbytes", "run_dp", "shard_batch_sizes", "shard_cover",
     "stride_shards", "tree_add", "tree_reduce",
 ]

@@ -1,8 +1,9 @@
-"""Shard partitioning: exact disjoint covers of clouds, clusters, batches.
+"""Shard partitioning: exact disjoint covers of clouds and batches.
 
-Every partition here is a pure function of ``(n, n_shards)`` (plus cluster
-labels for the SGM path) — never of the worker count — so the same logical
-shards exist no matter how many workers host them.  The invariant every
+Every partition here is a pure function of ``(n, n_shards)`` — never of
+the worker count — so the same logical shards exist no matter how many
+workers host them (SGM shards own whole clusters instead, see
+:func:`repro.graph.assign_clusters`).  The invariant every
 helper maintains, and :func:`check_disjoint_cover` asserts, is *exact
 disjoint cover*: each index lands in exactly one shard.
 """
@@ -11,10 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "assign_clusters", "check_disjoint_cover", "shard_batch_sizes",
-    "stride_shards",
-]
+__all__ = ["check_disjoint_cover", "shard_batch_sizes", "stride_shards"]
 
 
 def stride_shards(n_points, n_shards):
@@ -43,31 +41,6 @@ def shard_batch_sizes(batch_size, n_shards):
                          f"shards with at least one sample each")
     base, extra = divmod(batch_size, n_shards)
     return [base + (1 if shard < extra else 0) for shard in range(n_shards)]
-
-
-def assign_clusters(cluster_sizes, n_shards):
-    """Greedy balanced assignment of whole clusters to shards.
-
-    Clusters are processed largest-first (ties broken by cluster id) and
-    each goes to the shard currently holding the fewest points (ties to the
-    lowest shard id) — the classic LPT schedule, fully deterministic.
-    Returns ``shard_of_cluster``, an int array over cluster ids.
-    """
-    sizes = np.asarray(cluster_sizes, dtype=int)
-    n_shards = int(n_shards)
-    if len(sizes) < n_shards:
-        raise ValueError(
-            f"{len(sizes)} clusters cannot cover {n_shards} shards without "
-            f"an empty shard; lower the shard count (dp_shards) or the LRD "
-            f"level so the decomposition yields more clusters")
-    order = sorted(range(len(sizes)), key=lambda c: (-int(sizes[c]), c))
-    load = [0] * n_shards
-    shard_of_cluster = np.empty(len(sizes), dtype=int)
-    for cluster in order:
-        shard = min(range(n_shards), key=lambda s: (load[s], s))
-        shard_of_cluster[cluster] = shard
-        load[shard] += int(sizes[cluster])
-    return shard_of_cluster
 
 
 def check_disjoint_cover(shards, n_points):

@@ -43,9 +43,10 @@ from ..api.session import _wire_replica
 from ..api.types import RunResult
 from ..exec import resolve_backend
 from ..nn import FullyConnected
+from ..sampling import ClusterPlan
 from ..training import Trainer
 from .exchange import LocalExchange, StoreExchange, socket_path
-from .samplers import SUPPORTED_KINDS, ClusterPlan, make_shard_sampler
+from .samplers import SUPPORTED_KINDS, make_shard_sampler
 
 __all__ = ["DEFAULT_SHARDS", "DataParallelContext", "run_dp"]
 
@@ -259,16 +260,17 @@ class _DPSamplerStats:
     ``probe_points`` is the exact global total from the last allreduce;
     refresh/rebuild counts sum this rank's hosted interior shards (the
     payloads do not carry them — they are diagnostics, not trajectory
-    state).
+    state).  ``labels`` are the global cluster labels every SGM shard
+    holds (``None`` for the other kinds).
     """
 
     def __init__(self, trainer, sampler_name):
         self.name = f"dp:{sampler_name}"
-        self.labels = None
         self.probe_points = trainer.total_probe_points()
         dp = trainer.dp
         interior = [dp.shard_samplers[key] for key in dp.shard_samplers
                     if key[0] == "interior"]
+        self.labels = getattr(interior[0], "labels", None)
         self.refresh_count = sum(getattr(s, "refresh_count", 0)
                                  for s in interior)
         self.rebuild_count = sum(getattr(s, "rebuild_count", 0)

@@ -11,7 +11,7 @@ from .resistance import (
     spectral_embedding_resistance, resistance_embedding,
 )
 from .lrd import LRDResult, lrd_decompose, cluster_sizes
-from .partition import grid_partition, parallel_lrd
+from .partition import assign_clusters, grid_partition, parallel_lrd
 from .conductance import cut_fraction, cluster_conductance, partition_summary
 
 __all__ = [
@@ -22,5 +22,5 @@ __all__ = [
     "exact_effective_resistance", "approx_edge_resistance",
     "spectral_embedding_resistance", "resistance_embedding",
     "LRDResult", "lrd_decompose", "cluster_sizes",
-    "grid_partition", "parallel_lrd",
+    "assign_clusters", "grid_partition", "parallel_lrd",
 ]

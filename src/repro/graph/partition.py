@@ -4,14 +4,15 @@ The paper decomposes the dataset into grids and runs PGM construction and
 LRD decomposition in independent sub-processes.  :func:`grid_partition`
 produces the per-cell index sets; :func:`parallel_lrd` runs the kNN + LRD
 pipeline per cell (optionally in a process pool) and stitches the cluster
-labels back together with globally unique ids.
+labels back together with globally unique ids.  :func:`assign_clusters`
+bin-packs whole clusters onto data-parallel shards.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["grid_partition", "parallel_lrd"]
+__all__ = ["assign_clusters", "grid_partition", "parallel_lrd"]
 
 
 def grid_partition(points, cells_per_dim):
@@ -84,3 +85,28 @@ def parallel_lrd(points, k, level, cells_per_dim=2, num_vectors=16, seed=0,
         labels[idx] = cell_labels + offset
         offset += count
     return labels, offset
+
+
+def assign_clusters(cluster_sizes, n_shards):
+    """Greedy balanced assignment of whole clusters to shards.
+
+    Clusters are processed largest-first (ties broken by cluster id) and
+    each goes to the shard currently holding the fewest points (ties to the
+    lowest shard id) — the classic LPT schedule, fully deterministic.
+    Returns ``shard_of_cluster``, an int array over cluster ids.
+    """
+    sizes = np.asarray(cluster_sizes, dtype=int)
+    n_shards = int(n_shards)
+    if len(sizes) < n_shards:
+        raise ValueError(
+            f"{len(sizes)} clusters cannot cover {n_shards} shards without "
+            f"an empty shard; lower the shard count (dp_shards) or the LRD "
+            f"level so the decomposition yields more clusters")
+    order = sorted(range(len(sizes)), key=lambda c: (-int(sizes[c]), c))
+    load = [0] * n_shards
+    shard_of_cluster = np.empty(len(sizes), dtype=int)
+    for cluster in order:
+        shard = min(range(n_shards), key=lambda s: (load[s], s))
+        shard_of_cluster[cluster] = shard
+        load[shard] += int(sizes[cluster])
+    return shard_of_cluster

@@ -3,8 +3,8 @@
 from .base import Sampler
 from .uniform import UniformSampler
 from .mis import MISSampler
-from .sgm import SGMSampler
+from .sgm import ClusterPlan, SGMSampler
 from .rar import RARSampler
 
-__all__ = ["Sampler", "UniformSampler", "MISSampler", "SGMSampler",
-           "RARSampler"]
+__all__ = ["Sampler", "UniformSampler", "MISSampler", "ClusterPlan",
+           "SGMSampler", "RARSampler"]

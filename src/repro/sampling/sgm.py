@@ -14,6 +14,15 @@ Pipeline per the paper:
   floor of one sample per cluster so no region is forgotten).  Every
   ``tau_G`` iterations rebuild the graph and clusters.
 
+S1 + S2 live in :class:`ClusterPlan` alone.  Rebuild ``i`` is a pure
+function of ``(graph features, seed, i)``: its LRD seed comes from
+``SeedSequence([seed, ClusterPlan._STREAM, i])``, never from a sampler's
+stream, so it is known before it is needed and every rank that builds it
+gets the same labels.  A plan is split into ``n_shards`` whole-cluster
+shards, one :class:`SGMSampler` each; serial SGM is the one-shard plan, and
+data-parallel training (:mod:`repro.dp`) hands every shard sampler the
+same plan.  S3 + S4 are the sampler's, over its own shard's clusters.
+
 Overhead accounting matches §3.6: each refresh probes ``r * N`` points, and
 each rebuild's wall time is recorded so the experiment runner can either
 charge it (synchronous) or hide it (the paper's background thread).
@@ -24,11 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..graph import knn_adjacency, lrd_decompose, parallel_lrd
+from ..graph import (assign_clusters, knn_adjacency, lrd_decompose,
+                     parallel_lrd)
 from ..stability import spade_scores
 from .base import Sampler, _scalar
 
-__all__ = ["SGMSampler"]
+__all__ = ["ClusterPlan", "SGMSampler"]
 
 
 def _minmax(values):
@@ -56,27 +66,104 @@ def split_clusters(labels):
     return np.split(order, boundaries)
 
 
-class SGMSampler(Sampler):
-    """Cluster-level importance sampling via sampling graphical models."""
+class ClusterPlan:
+    """The S1 + S2 clustering of one cloud, for every rebuild index.
 
-    name = "sgm"
+    Shared by the ``n_shards`` samplers that split the cloud's clusters
+    (one for serial SGM).  Only the latest rebuild is cached: samplers
+    sharing a plan rebuild in lockstep, so the shards co-located on one
+    rank share a single decomposition.
+    """
 
-    def __init__(self, features, k=30, level=10, tau_e=7000, tau_G=25000,
-                 probe_ratio=0.15, use_isr=False, isr_weight=1.0, isr_k=10,
-                 isr_rank=6, ratio_range=(0.05, 0.9), num_vectors=16,
-                 cells_per_dim=1, knn_backend="kdtree",
-                 append_output_features=False, output_feature_weight=1.0,
-                 seed=0):
+    #: spawn-key constant separating plan RNG streams from sampler streams
+    _STREAM = 104729
+
+    def __init__(self, features, n_shards=1, *, k, level, num_vectors=16,
+                 knn_backend="kdtree", cells_per_dim=1, seed=0):
         """
         Parameters
         ----------
         features:
             ``(n, d+p)`` sample matrix ``X`` — spatial coordinates plus any
             geometry parameters (the PGM is built over these features).
+        n_shards:
+            Number of samplers the clusters are split over (1 = serial).
         k:
             kNN size for the PGM (paper: 30 for LDC, 7 for the annular ring).
         level:
             LRD coarsening level ``L`` (paper: 10 for LDC, 6 for AR).
+        num_vectors:
+            Sketch depth for the effective-resistance estimator.
+        knn_backend:
+            Neighbour search backend for the PGM (``repro.graph.knn``).
+        cells_per_dim:
+            Grid partitioning for the (re)build, §3.3 (1 = no partitioning).
+        seed:
+            Root of every rebuild's LRD seed.
+        """
+        self.features = np.asarray(features, dtype=np.float64)
+        self.n_shards = int(n_shards)
+        self.k = int(k)
+        self.level = int(level)
+        self.num_vectors = int(num_vectors)
+        self.knn_backend = knn_backend
+        self.cells_per_dim = int(cells_per_dim)
+        self.seed = int(seed)
+        self._latest = None
+
+    def labels(self, rebuild_index, features=None):
+        """``(labels, wall_seconds)`` of rebuild ``rebuild_index``.
+
+        ``features`` replaces the plan's own for this build (§3.2's
+        output-augmented graph); every caller of one rebuild must pass the
+        same matrix.  ``wall_seconds`` is non-zero only on the call that
+        actually built the decomposition (cache hits are free), so the
+        triggering sampler charges the cost exactly once.
+        """
+        if self._latest is not None and self._latest[0] == rebuild_index:
+            return self._latest[1], 0.0
+        features = self.features if features is None else features
+        seed = int(np.random.default_rng(np.random.SeedSequence(
+            [self.seed, self._STREAM, rebuild_index])).integers(2 ** 31))
+        with obs.timed_span("sampler.rebuild") as rebuild_timer:
+            if self.cells_per_dim > 1:
+                # the partitioned path fuses kNN + LRD per grid cell, so a
+                # single cluster-update span covers both stages
+                with obs.span("sampler.cluster_update"):
+                    labels, _ = parallel_lrd(
+                        features, k=self.k, level=self.level,
+                        cells_per_dim=self.cells_per_dim,
+                        num_vectors=self.num_vectors, seed=seed)
+            else:
+                labels = knn_lrd_labels(
+                    features, k=self.k, level=self.level,
+                    num_vectors=self.num_vectors,
+                    knn_backend=self.knn_backend, seed=seed)
+        self._latest = (rebuild_index, labels)
+        obs.inc("sampler.rebuild_count")
+        obs.inc("sampler.rebuild_seconds", rebuild_timer.seconds)
+        return labels, rebuild_timer.seconds
+
+
+class SGMSampler(Sampler):
+    """Cluster-level importance sampling via sampling graphical models."""
+
+    name = "sgm"
+
+    def __init__(self, plan, shard=0, *, tau_e=7000, tau_G=25000,
+                 probe_ratio=0.15, use_isr=False, isr_weight=1.0, isr_k=10,
+                 isr_rank=6, ratio_range=(0.05, 0.9),
+                 append_output_features=False, output_feature_weight=1.0,
+                 seed=0, **plan_options):
+        """
+        Parameters
+        ----------
+        plan:
+            The :class:`ClusterPlan` whose clusters this sampler draws
+            from, or a bare feature matrix, which stands for the one-shard
+            plan ``ClusterPlan(features, 1, seed=seed, **plan_options)``.
+        shard:
+            Which of the plan's shards this sampler owns.
         tau_e:
             Score-refresh cadence in iterations (paper: 7k).
         tau_G:
@@ -90,10 +177,6 @@ class SGMSampler(Sampler):
         ratio_range:
             ``(p_min, p_max)`` sampling-ratio range the cluster scores are
             mapped onto (Algorithm 1, line 9).
-        num_vectors:
-            Sketch depth for the effective-resistance estimator.
-        cells_per_dim:
-            Grid partitioning for the (re)build, §3.3 (1 = no partitioning).
         append_output_features:
             §3.2: at every ``tau_G`` rebuild after the first, append the
             network's current outputs (e.g. flow velocities) to the graph
@@ -104,11 +187,14 @@ class SGMSampler(Sampler):
             Scale of the appended (standardised) output columns relative to
             the standardised input features.
         """
-        features = np.asarray(features, dtype=np.float64)
-        super().__init__(len(features), seed=seed)
-        self.features = features
-        self.k = int(k)
-        self.level = int(level)
+        if not isinstance(plan, ClusterPlan):
+            plan = ClusterPlan(plan, 1, seed=seed, **plan_options)
+        elif plan_options:
+            raise TypeError(f"{sorted(plan_options)} are ClusterPlan "
+                            f"options; set them on the plan")
+        super().__init__(len(plan.features), seed=seed)
+        self.plan = plan
+        self.shard = int(shard)
         self.tau_e = int(tau_e)
         self.tau_g = int(tau_G)
         self.probe_ratio = float(probe_ratio)
@@ -121,9 +207,6 @@ class SGMSampler(Sampler):
         self.ratio_min, self.ratio_max = map(float, ratio_range)
         if not 0.0 < self.ratio_min <= self.ratio_max <= 1.0:
             raise ValueError("need 0 < p_min <= p_max <= 1")
-        self.num_vectors = int(num_vectors)
-        self.cells_per_dim = int(cells_per_dim)
-        self.knn_backend = knn_backend
         self.append_output_features = bool(append_output_features)
         self.output_feature_weight = float(output_feature_weight)
 
@@ -137,7 +220,7 @@ class SGMSampler(Sampler):
         self.rebuild_count = 0
 
     # ------------------------------------------------------------------
-    # S1 + S2: graph construction and LRD clustering
+    # S1 + S2: adopt the plan's clustering
     # ------------------------------------------------------------------
     def _standardise(self, matrix):
         std = matrix.std(axis=0)
@@ -145,57 +228,48 @@ class SGMSampler(Sampler):
         return (matrix - matrix.mean(axis=0)) / std
 
     def _graph_features(self):
-        """Features the PGM is built over; §3.2 optionally appends the
-        network's current outputs after the first rebuild."""
+        """Features the PGM is built over; ``None`` keeps the plan's own.
+
+        §3.2 optionally appends the network's current outputs after the
+        first rebuild."""
         if (not self.append_output_features or self.rebuild_count == 0
                 or self.probe_outputs is None):
-            return self.features
+            return None
         outputs = np.asarray(self.probe_outputs(np.arange(self.n_points)),
                              dtype=np.float64)
         self.probe_points += self.n_points
         return np.concatenate(
-            [self._standardise(self.features),
+            [self._standardise(self.plan.features),
              self.output_feature_weight * self._standardise(outputs)],
             axis=1)
 
     def build_clusters(self):
-        """(Re)build the PGM and its LRD decomposition.
+        """Adopt the plan's rebuild :attr:`rebuild_count`.
 
-        The wall time is measured through :class:`repro.obs.timed_span` so
-        it both feeds :attr:`rebuild_seconds` (TrainingClock's background
-        credit — functional, always on) and shows up as a
-        ``sampler.rebuild`` span when tracing is enabled.
+        The plan measures the build's wall time through
+        :class:`repro.obs.timed_span`; it feeds :attr:`rebuild_seconds`
+        (TrainingClock's background credit — functional, always on) of the
+        sampler that triggered the build.
         """
-        with obs.timed_span("sampler.rebuild") as rebuild_timer:
-            graph_features = self._graph_features()
-            if self.cells_per_dim > 1:
-                # the partitioned path fuses kNN + LRD per grid cell, so a
-                # single cluster-update span covers both stages
-                with obs.span("sampler.cluster_update"):
-                    labels, _ = parallel_lrd(
-                        graph_features, k=self.k, level=self.level,
-                        cells_per_dim=self.cells_per_dim,
-                        num_vectors=self.num_vectors,
-                        seed=int(self.rng.integers(2 ** 31)))
-            else:
-                labels = knn_lrd_labels(
-                    graph_features, k=self.k, level=self.level,
-                    num_vectors=self.num_vectors,
-                    knn_backend=self.knn_backend,
-                    seed=int(self.rng.integers(2 ** 31)))
-            self._set_labels(labels)
-        self.rebuild_seconds += rebuild_timer.seconds
+        labels, seconds = self.plan.labels(self.rebuild_count,
+                                           self._graph_features())
+        self._set_labels(labels)
+        self.rebuild_seconds += seconds
         self.rebuild_count += 1
-        obs.inc("sampler.rebuild_count")
-        obs.inc("sampler.rebuild_seconds", rebuild_timer.seconds)
 
     def _set_labels(self, labels):
-        """Adopt cluster labels and derive the member lists (deterministic,
-        so checkpoints only need to persist the labels themselves)."""
+        """Adopt the plan's global cluster labels and derive this shard's
+        member lists (deterministic, so checkpoints only need to persist
+        the labels themselves)."""
         self.labels = labels
+        clusters = split_clusters(labels)
+        shard_of_cluster = assign_clusters([len(c) for c in clusters],
+                                           self.plan.n_shards)
         # derived deterministically from labels above, which state_dict
         # persists; re-deriving on load keeps checkpoints small
-        self.clusters = split_clusters(labels)  # repro: noqa RPR007
+        self.clusters = [  # repro: noqa RPR007
+            members for members, shard in zip(clusters, shard_of_cluster)
+            if shard == self.shard]
 
     # ------------------------------------------------------------------
     # S3 + S4: scoring and epoch assembly
@@ -253,7 +327,7 @@ class SGMSampler(Sampler):
         k_eff = min(self.isr_k, len(flat) - 2)
         if k_eff < 2:
             return np.zeros(len(offsets) - 1)
-        result = spade_scores(self.features[flat], outputs, k=k_eff,
+        result = spade_scores(self.plan.features[flat], outputs, k=k_eff,
                               rank=min(self.isr_rank, k_eff),
                               backend="kdtree")
         per_cluster = np.array([
@@ -341,9 +415,16 @@ class SGMSampler(Sampler):
             self._cursor = int(_scalar(state["cursor"]))
 
     # ------------------------------------------------------------------
+    @property
+    def indices(self):
+        """Sorted global indices of the points in this sampler's clusters."""
+        return np.sort(np.concatenate(self.clusters))
+
     def epoch_composition(self):
-        """Current per-cluster sample counts (diagnostics / tests)."""
+        """Current sample count of every owned cluster, in :attr:`clusters`
+        order (diagnostics / tests)."""
         if self._epoch is None:
             raise RuntimeError("no epoch built yet")
-        return np.bincount(self.labels[self._epoch],
-                           minlength=len(self.clusters))
+        counts = np.bincount(self.labels[self._epoch],
+                             minlength=self.labels.max() + 1)
+        return counts[[self.labels[members[0]] for members in self.clusters]]

@@ -106,21 +106,25 @@ def test_queue_backend_matches_inline(tmp_path):
 
 
 def test_recorded_histories_match_across_world_sizes(tmp_path):
-    """The durable history.jsonl rows agree bitwise (wall_time aside)."""
+    """The durable history.jsonl rows agree bitwise (wall_time aside), and
+    sampler.json records the global cluster count."""
     import json
-    rows = {}
+    rows, n_clusters = {}, {}
     for world_size in (1, 4):
         result = _run("burgers", world_size=world_size,
                       backend="thread" if world_size > 1 else "process",
                       store=tmp_path / f"w{world_size}")
-        path = (tmp_path / f"w{world_size}" / result.run_id /
-                "history.jsonl")
+        run_dir = tmp_path / f"w{world_size}" / result.run_id
         rows[world_size] = []
-        for line in path.read_text().splitlines():
+        for line in (run_dir / "history.jsonl").read_text().splitlines():
             record = json.loads(line)
             record.pop("wall_time")
             rows[world_size].append(record)
+        stats = json.loads((run_dir / "sampler.json").read_text())
+        n_clusters[world_size] = stats["n_clusters"]
     assert rows[1] == rows[4]
+    assert isinstance(n_clusters[1], int) and n_clusters[1] >= 4
+    assert n_clusters[1] == n_clusters[4]
 
 
 def test_world_size_above_shard_count_is_rejected():

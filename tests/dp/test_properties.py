@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.dp import (
-    ClusterPlan, LocalExchange, ShardSGMSampler, check_disjoint_cover,
-    decode_payload, encode_payload, make_shard_sampler, payload_nbytes,
-    shard_batch_sizes, shard_cover, stride_shards, tree_add, tree_reduce,
+    LocalExchange, check_disjoint_cover, decode_payload, encode_payload,
+    make_shard_sampler, payload_nbytes, shard_batch_sizes, shard_cover,
+    stride_shards, tree_add, tree_reduce,
 )
 from repro.dp.exchange import decode_frame, encode_frame
 from repro.experiments import burgers_config
+from repro.graph import assign_clusters
+from repro.sampling import ClusterPlan, SGMSampler
 
 finite32 = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                      allow_infinity=False, width=32)
@@ -231,7 +233,6 @@ def test_shard_batch_sizes_sum_and_balance(batch_size, n_shards):
                 max_size=40),
        st.integers(min_value=1, max_value=8))
 def test_assign_clusters_covers_and_balances(sizes, n_shards):
-    from repro.dp import assign_clusters
     if len(sizes) < n_shards:
         with pytest.raises(ValueError):
             assign_clusters(sizes, n_shards)
@@ -295,10 +296,11 @@ def test_sgm_plan_is_identical_across_independent_builders():
     plans = [ClusterPlan(features, 4, k=config.knn_k,
                          level=config.lrd_level, seed=0) for _ in range(2)]
     for shard in range(4):
-        a, _ = plans[0].shard_members(0, shard)
-        b, _ = plans[1].shard_members(0, shard)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
+        a, b = (SGMSampler(plan, shard) for plan in plans)
+        a.start()
+        b.start()
+        assert len(a.clusters) == len(b.clusters)
+        for x, y in zip(a.clusters, b.clusters):
             np.testing.assert_array_equal(x, y)
 
 
@@ -320,23 +322,23 @@ def test_shard_sgm_sampler_state_round_trips(tmp_path):
     prob, interior = _interior_constraint()
     plan = ClusterPlan(prob.interior_cloud.features(), 2,
                        k=config.knn_k, level=config.lrd_level, seed=0)
-    sampler = ShardSGMSampler(plan, 0, tau_e=3, tau_G=0,
-                              probe_ratio=0.2,
-                              seed=np.random.SeedSequence([0, 0, 0]))
+    sampler = SGMSampler(plan, 0, tau_e=3, tau_G=0,
+                         probe_ratio=0.2,
+                         seed=np.random.SeedSequence([0, 0, 0]))
     sampler.bind_probes(probe_loss=lambda idx: np.ones(len(idx)))
     sampler.start()
     drawn = [sampler.batch_indices(step, 8) for step in range(4)]
 
-    twin = ShardSGMSampler(plan, 0, tau_e=3, tau_G=0, probe_ratio=0.2,
-                           seed=np.random.SeedSequence([0, 0, 0]))
+    twin = SGMSampler(plan, 0, tau_e=3, tau_G=0, probe_ratio=0.2,
+                      seed=np.random.SeedSequence([0, 0, 0]))
     twin.bind_probes(probe_loss=lambda idx: np.ones(len(idx)))
     twin.start()
     for step in range(2):
         twin.batch_indices(step, 8)
     state = twin.state_dict()
 
-    resumed = ShardSGMSampler(plan, 0, tau_e=3, tau_G=0, probe_ratio=0.2,
-                              seed=np.random.SeedSequence([0, 0, 0]))
+    resumed = SGMSampler(plan, 0, tau_e=3, tau_G=0, probe_ratio=0.2,
+                         seed=np.random.SeedSequence([0, 0, 0]))
     resumed.bind_probes(probe_loss=lambda idx: np.ones(len(idx)))
     resumed.load_state_dict(state)
     for step in range(2, 4):

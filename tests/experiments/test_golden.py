@@ -33,13 +33,16 @@ LEGACY_PROBLEMS = ("advection_diffusion", "annular_ring", "burgers", "ldc",
                    "poisson3d")
 LEGACY_KEYS = tuple(f"{p}:{s}" for p in LEGACY_PROBLEMS
                     for s in ("mis", "sgm", "sgm_s", "uniform"))
-#: sha256 of the canonical JSON of the 20 legacy entries.  Re-pinned once
-#: when the float64 gradient-upcast fix (mask dtypes, sdf sample weights,
+#: sha256 of the canonical JSON of the 20 legacy entries.  Re-pinned when
+#: the float64 gradient-upcast fix (mask dtypes, sdf sample weights,
 #: coefficient dtype) intentionally moved the ldc/annular_ring entries onto
-#: float32-exact trajectories; the other 12 legacy entries stayed
-#: byte-identical to the PR 2-4 pin.
-LEGACY_SHA256 = ("b49dadd898ac79d3f995da25398b49921a0ff68917c7f25c"
-                 "56e6604da7c1a4c0")
+#: float32-exact trajectories, and again when serial SGM became the
+#: one-shard ClusterPlan (the LRD seed of rebuild ``i`` now comes from
+#: ``SeedSequence([seed, _STREAM, i])``, not the sampler's stream), which
+#: moved only the sgm/sgm_s entries and left the uniform/mis ones
+#: byte-identical.
+LEGACY_SHA256 = ("94bc168ee949eebd85ab3c431f90cb8c5a660f9dcca61cfd"
+                 "a8c57e2da5c7ff32")
 
 
 def _pairs():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sampling import SGMSampler
+from repro.sampling import ClusterPlan, SGMSampler
 
 
 def grid_features(n_side=20):
@@ -142,6 +142,48 @@ class TestEpoch:
         batch_a = a.batch_indices(0, 32)
         batch_b = b.batch_indices(0, 32)
         assert np.array_equal(batch_a, batch_b)
+
+
+class TestClusterPlan:
+    """Serial SGM is the one-shard case of the shared cluster plan."""
+
+    PLAN = dict(k=8, level=4, num_vectors=12, seed=5)
+
+    def shard_samplers(self, n_shards):
+        plan = ClusterPlan(grid_features(), n_shards, **self.PLAN)
+        return [SGMSampler(plan, shard, seed=shard)
+                for shard in range(n_shards)]
+
+    @staticmethod
+    def as_sets(clusters):
+        return sorted(tuple(sorted(members.tolist())) for members in clusters)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_one_clustering_per_features_seed_and_rebuild(self, n_shards):
+        serial = SGMSampler(grid_features(), **self.PLAN)
+        shards = self.shard_samplers(n_shards)
+        rebuilds = []
+        for _ in range(2):
+            serial.build_clusters()
+            for sampler in shards:
+                sampler.build_clusters()
+            union = [c for sampler in shards for c in sampler.clusters]
+            assert self.as_sets(union) == self.as_sets(serial.clusters)
+            rebuilds.append(self.as_sets(serial.clusters))
+        assert rebuilds[0] != rebuilds[1]   # the rebuild index matters
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_epoch_composition_counts_owned_clusters(self, n_shards):
+        features = grid_features()
+        for sampler in self.shard_samplers(n_shards):
+            sampler.bind_probes(probe_loss=corner_loss(features))
+            sampler.start()
+            sampler.refresh_scores()
+            composition = sampler.epoch_composition()
+            expected = [np.isin(sampler._epoch, members).sum()
+                        for members in sampler.clusters]
+            np.testing.assert_array_equal(composition, expected)
+            assert np.all(composition >= 1)
 
 
 class TestISR:
