@@ -580,9 +580,9 @@ class RawTimerInHotPath(Rule):
     title = "raw timer in an instrumented hot path"
     severity = "warning"
     hint = ("time through repro.obs — span() for traced sections, "
-            "timed_span() for functional durations, stopwatch() for plain "
-            "wall timing — or mark a deliberate exception with "
-            "# repro: noqa RPR009")
+            "timed_span() for durations a counter or caller reads, "
+            "stopwatch() for plain wall timing — or mark a deliberate "
+            "exception with # repro: noqa RPR009")
     rationale = ("training/, sampling/, autodiff/, and experiments/ are "
                  "instrumented with repro.obs spans; an ad-hoc "
                  "time.perf_counter() or Timer there produces durations the "

@@ -1,8 +1,8 @@
 """Shard payload codec and allreduce rendezvous.
 
 A *payload* is the per-shard contribution to one allreduce round: the
-scaled loss, the gradient list (params order), bookkeeping counters, and
-partial validator sums.  Payloads cross process boundaries inside a
+scaled loss, the gradient list (params order), the probed-point count,
+and partial validator sums.  Payloads cross process boundaries inside a
 *frame*: every flat array of :func:`encode_payload` travels as (key, dtype,
 shape, raw bytes) and is read back with ``np.frombuffer``, so the codec
 round-trips every array bit-exactly and reducing payloads that crossed a
@@ -57,9 +57,6 @@ def encode_payload(payload):
         flat[f"grad{i:04d}"] = np.asarray(grad)
     if "probe_points" in payload:
         flat["probe_points"] = np.asarray(payload["probe_points"], dtype=np.int64)
-    if "rebuild_seconds" in payload:
-        flat["rebuild_seconds"] = np.asarray(payload["rebuild_seconds"],
-                                             dtype=np.float64)
     for vi, per_var in sorted(payload.get("validators", {}).items()):
         for var, (num, den) in sorted(per_var.items()):
             if _VAL_SEP in var:
@@ -81,8 +78,6 @@ def decode_payload(flat):
             payload["loss"] = value
         elif key == "probe_points":
             payload["probe_points"] = int(value)
-        elif key == "rebuild_seconds":
-            payload["rebuild_seconds"] = float(value)
         elif key.startswith("grad"):
             grads[int(key[4:])] = value
         elif key.startswith("val"):

@@ -229,8 +229,9 @@ def _train_dp_rank(spec):
         if close is not None:
             close()
 
+    sampler_stats = _DPSamplerStats(trainer, spec["sampler"])
     if recorder is not None:
-        recorder.finish(history, _DPSamplerStats(trainer, spec["sampler"]))
+        recorder.finish(history, sampler_stats)
 
     coefficients = {name: module.value()
                     for name, module in prob.extra_modules.items()
@@ -245,6 +246,7 @@ def _train_dp_rank(spec):
                      "activation": config.network.activation,
                      "dtype": str(np.dtype(config.network.dtype))},
         "net_state": trainer.net.state_dict(),
+        "sampler": sampler_stats,
         "coefficients": coefficients,
         "run_id": None if recorder is None else recorder.run_id,
         "obs_data": (None if rank_tracer is None
@@ -255,7 +257,8 @@ def _train_dp_rank(spec):
 
 
 class _DPSamplerStats:
-    """Sampler-statistics facade for the run record's ``sampler.json``.
+    """Picklable sampler statistics of one rank: the run record's
+    ``sampler.json`` and :attr:`RunResult.sampler` of a dp run.
 
     ``probe_points`` is the exact global total from the last allreduce;
     refresh/rebuild counts sum this rank's hosted interior shards (the
@@ -265,9 +268,11 @@ class _DPSamplerStats:
     """
 
     def __init__(self, trainer, sampler_name):
-        self.name = f"dp:{sampler_name}"
-        self.probe_points = trainer.total_probe_points()
         dp = trainer.dp
+        self.name = f"dp:{sampler_name}"
+        self.n_shards = dp.n_shards
+        self.world_size = dp.world_size
+        self.probe_points = trainer.total_probe_points()
         interior = [dp.shard_samplers[key] for key in dp.shard_samplers
                     if key[0] == "interior"]
         self.labels = getattr(interior[0], "labels", None)
@@ -275,6 +280,11 @@ class _DPSamplerStats:
                                  for s in interior)
         self.rebuild_count = sum(getattr(s, "rebuild_count", 0)
                                  for s in interior)
+
+    def __repr__(self):
+        return (f"_DPSamplerStats(name={self.name!r}, "
+                f"n_shards={self.n_shards}, world_size={self.world_size}, "
+                f"probe_points={self.probe_points})")
 
 
 def _plain_history(history):
@@ -387,9 +397,8 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
         dtype=np.dtype(head["net_args"]["dtype"]))
     net.load_state_dict(head["net_state"])
     result = RunResult(label=label, history=head["history"], net=net,
-                       sampler=_ResultSamplerInfo(sampler, n_shards,
-                                                  world_size),
-                       config=config, run_id=head["run_id"],
+                       sampler=head["sampler"], config=config,
+                       run_id=head["run_id"],
                        coefficients=head["coefficients"],
                        obs=head["obs_data"])
     result.rank_results = rank_results
@@ -410,19 +419,3 @@ def _exchange_root(world_size):
         os.rmdir(root)
         root = tempfile.mkdtemp(prefix="repro-dp-", dir="/tmp")
     return root
-
-
-class _ResultSamplerInfo:
-    """Lightweight sampler descriptor on a dp :class:`RunResult` (the real
-    shard samplers live — and die — inside the worker ranks)."""
-
-    def __init__(self, name, n_shards, world_size):
-        self.name = f"dp:{name}"
-        self.n_shards = int(n_shards)
-        self.world_size = int(world_size)
-        self.probe_points = 0
-        self.labels = None
-
-    def __repr__(self):
-        return (f"_ResultSamplerInfo(name={self.name!r}, "
-                f"n_shards={self.n_shards}, world_size={self.world_size})")

@@ -70,10 +70,6 @@ class ShardSampler:
         return self.inner.probe_points
 
     @property
-    def rebuild_seconds(self):
-        return self.inner.rebuild_seconds
-
-    @property
     def refresh_count(self):
         return getattr(self.inner, "refresh_count", 0)
 

@@ -109,9 +109,9 @@ class timed_span:
     """Measure a region always; record a span for it only when tracing.
 
     The sanctioned replacement for raw ``perf_counter`` pairs in hot
-    paths whose timings are *functional* (e.g. ``Sampler.rebuild_seconds``
-    feeds TrainingClock credit): ``.seconds`` is valid whether or not a
-    tracer is installed.
+    paths whose durations feed a counter (e.g. ``sampler.rebuild_seconds``)
+    or a caller: ``.seconds`` is valid whether or not a tracer is
+    installed.
     """
 
     __slots__ = ("_name", "_attrs", "_span_ctx", "_span", "_started",

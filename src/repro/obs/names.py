@@ -29,12 +29,8 @@ METRICS = {
     "train.loss": (
         "gauge", "loss value at the latest history record"),
     # -- wall-clock accounting (TrainingClock) --------------------------
-    "clock.raw_seconds": (
-        "gauge", "raw wall seconds since training started (no credit)"),
-    "clock.credited_seconds": (
-        "gauge", "seconds credited back for hidden background rebuilds"),
     "clock.train_seconds": (
-        "gauge", "visible training seconds (raw minus credited)"),
+        "gauge", "wall seconds since training started (rebuilds included)"),
     # -- samplers -------------------------------------------------------
     "sampler.probe_points": (
         "gauge", "total points probed for importance refreshes (section 3.6 "

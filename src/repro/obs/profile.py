@@ -218,8 +218,8 @@ def metrics_summary(snapshots):
     """One-line-worthy numbers from the last metrics snapshot.
 
     Returns ``None`` when there are no snapshots; otherwise a dict with
-    ``steps_per_second`` (train.steps / clock.raw_seconds),
-    ``sampler_overhead_fraction`` ((rebuild+refresh seconds) / raw) and
+    ``steps_per_second`` (train.steps / clock.train_seconds),
+    ``sampler_overhead_fraction`` ((rebuild+refresh seconds) / train) and
     ``replay_fallbacks`` (refused + stale).
     """
     if not snapshots:
@@ -227,14 +227,14 @@ def metrics_summary(snapshots):
     last = snapshots[-1]
     counters = last.get("counters", {})
     gauges = last.get("gauges", {})
-    raw = gauges.get("clock.raw_seconds") or 0.0
+    seconds = gauges.get("clock.train_seconds") or 0.0
     steps = counters.get("train.steps", 0)
     overhead = (counters.get("sampler.rebuild_seconds", 0.0)
                 + counters.get("sampler.refresh_seconds", 0.0))
     return {
         "steps": steps,
-        "steps_per_second": steps / raw if raw else 0.0,
-        "sampler_overhead_fraction": overhead / raw if raw else 0.0,
+        "steps_per_second": steps / seconds if seconds else 0.0,
+        "sampler_overhead_fraction": overhead / seconds if seconds else 0.0,
         "replay_fallbacks": (counters.get("replay.fallback_refused", 0)
                              + counters.get("replay.fallback_stale", 0)),
     }

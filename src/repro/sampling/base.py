@@ -43,9 +43,6 @@ class Sampler:
         self.probe_grad_norm = None
         #: total number of points probed so far (overhead accounting)
         self.probe_points = 0
-        #: wall seconds spent in graph/cluster (re)builds, for the
-        #: background-thread accounting mode
-        self.rebuild_seconds = 0.0
 
     # ------------------------------------------------------------------
     def bind_probes(self, probe_loss=None, probe_outputs=None,
@@ -80,11 +77,13 @@ class Sampler:
         return {
             "rng": json.dumps(self.rng.bit_generator.state),
             "probe_points": self.probe_points,
-            "rebuild_seconds": self.rebuild_seconds,
         }
 
     def load_state_dict(self, state):
-        """Restore a snapshot produced by :meth:`state_dict`."""
+        """Restore a snapshot produced by :meth:`state_dict`.
+
+        Keys this sampler does not read are ignored, so checkpoints that
+        carry keys older versions wrote load unchanged.
+        """
         self.rng.bit_generator.state = json.loads(str(_scalar(state["rng"])))
         self.probe_points = int(_scalar(state["probe_points"]))
-        self.rebuild_seconds = float(_scalar(state["rebuild_seconds"]))

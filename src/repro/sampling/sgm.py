@@ -23,9 +23,10 @@ shards, one :class:`SGMSampler` each; serial SGM is the one-shard plan, and
 data-parallel training (:mod:`repro.dp`) hands every shard sampler the
 same plan.  S3 + S4 are the sampler's, over its own shard's clusters.
 
-Overhead accounting matches §3.6: each refresh probes ``r * N`` points, and
-each rebuild's wall time is recorded so the experiment runner can either
-charge it (synchronous) or hide it (the paper's background thread).
+Overhead accounting matches §3.6: each refresh probes ``r * N`` points.
+Rebuilds run synchronously in the step that triggers them, so their wall
+time is charged to the training clock; the ``sampler.rebuild`` span and
+the ``sampler.rebuild_seconds`` counter report it.
 """
 
 from __future__ import annotations
@@ -112,16 +113,15 @@ class ClusterPlan:
         self._latest = None
 
     def labels(self, rebuild_index, features=None):
-        """``(labels, wall_seconds)`` of rebuild ``rebuild_index``.
+        """The global cluster labels of rebuild ``rebuild_index``.
 
         ``features`` replaces the plan's own for this build (§3.2's
         output-augmented graph); every caller of one rebuild must pass the
-        same matrix.  ``wall_seconds`` is non-zero only on the call that
-        actually built the decomposition (cache hits are free), so the
-        triggering sampler charges the cost exactly once.
+        same matrix.  Only the call that actually builds the decomposition
+        is timed (cache hits are free), so a build is counted once.
         """
         if self._latest is not None and self._latest[0] == rebuild_index:
-            return self._latest[1], 0.0
+            return self._latest[1]
         features = self.features if features is None else features
         seed = int(np.random.default_rng(np.random.SeedSequence(
             [self.seed, self._STREAM, rebuild_index])).integers(2 ** 31))
@@ -142,7 +142,7 @@ class ClusterPlan:
         self._latest = (rebuild_index, labels)
         obs.inc("sampler.rebuild_count")
         obs.inc("sampler.rebuild_seconds", rebuild_timer.seconds)
-        return labels, rebuild_timer.seconds
+        return labels
 
 
 class SGMSampler(Sampler):
@@ -244,17 +244,9 @@ class SGMSampler(Sampler):
             axis=1)
 
     def build_clusters(self):
-        """Adopt the plan's rebuild :attr:`rebuild_count`.
-
-        The plan measures the build's wall time through
-        :class:`repro.obs.timed_span`; it feeds :attr:`rebuild_seconds`
-        (TrainingClock's background credit — functional, always on) of the
-        sampler that triggered the build.
-        """
-        labels, seconds = self.plan.labels(self.rebuild_count,
-                                           self._graph_features())
-        self._set_labels(labels)
-        self.rebuild_seconds += seconds
+        """Adopt the plan's rebuild :attr:`rebuild_count`."""
+        self._set_labels(self.plan.labels(self.rebuild_count,
+                                          self._graph_features()))
         self.rebuild_count += 1
 
     def _set_labels(self, labels):

@@ -6,10 +6,10 @@ The trainer wires together:
 * probe callbacks the samplers use for importance refreshes (extra forward
   passes are executed here, so their cost lands on the same wall clock the
   figures plot);
-* validators evaluated every ``validate_every`` iterations;
-* the background-rebuild accounting mode: when ``background_rebuild=True``
-  the sampler's graph-rebuild seconds are credited back to the clock,
-  emulating the paper's background thread (§3.3/§3.5).
+* validators evaluated every ``validate_every`` iterations.
+
+Graph rebuilds run synchronously inside the step that triggers them, so
+their seconds are charged to the same clock as probes.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ class Trainer:
         Iterable of :class:`PointwiseValidator`; their per-variable errors
         are averaged across validators, matching the paper's
         'averaged at r_i = 1.0, 0.88, 0.75'.
-    background_rebuild:
-        Credit sampler rebuild time back to the wall clock.
     extra_parameters:
         Extra trainable tensors (e.g. a raw coefficient parameter) trained
         jointly with the network; the optimizer must have been constructed
@@ -89,8 +87,8 @@ class Trainer:
     """
 
     def __init__(self, net, constraints, optimizer, scheduler=None,
-                 samplers=None, validators=(), background_rebuild=True,
-                 extra_parameters=(), extra_modules=None, seed=0, dp=None):
+                 samplers=None, validators=(), extra_parameters=(),
+                 extra_modules=None, seed=0, dp=None):
         self.net = net
         self.constraints = list(constraints)
         if not self.constraints:
@@ -98,7 +96,6 @@ class Trainer:
         self.optimizer = optimizer
         self.scheduler = scheduler
         self.validators = list(validators)
-        self.background_rebuild = bool(background_rebuild)
         self.extra_modules = dict(extra_modules or {})
         extra = list(extra_parameters)
         if not extra and self.extra_modules:
@@ -135,10 +132,8 @@ class Trainer:
                 self._bind_probes(constraint, by_name[constraint.name])
         #: per-shard replay state machines of the last ``train(compile=True)``
         self.replay_states = {}
-        #: global sampler counters as of the last step (summed over all S
-        #: shards); ``rebuild_seconds`` counts from the current ``train``
-        self._totals = {"probe_points": 0, "rebuild_seconds": 0.0}
-        self._rebuild_base = {shard: 0.0 for shard in self.owned}
+        #: probed points as of the last step, summed over all S shards
+        self._probe_points = 0
 
     #: probes evaluate at most this many points per autodiff graph, keeping
     #: peak memory bounded when a sampler probes a large index set at once
@@ -272,18 +267,18 @@ class Trainer:
         context all ``S`` shard contributions are allreduced first.
         """
         if self.dp is None:
-            loss, grads, self._totals = self._shard_step(step, 0)
+            loss, grads, self._probe_points = self._shard_step(step, 0)
         else:
             local = {}
             for shard in self.owned:
                 with obs.span("dp.shard", shard=shard):
-                    loss, grads, totals = self._shard_step(step, shard)
+                    loss, grads, probed = self._shard_step(step, shard)
                     local[shard] = {"loss": _array(loss),
                                     "grads": [_array(g) for g in grads],
-                                    **totals}
+                                    "probe_points": probed}
             reduced = self._allreduce(step, "grad", local)
             loss, grads = reduced["loss"], reduced["grads"]
-            self._totals = {key: reduced[key] for key in self._totals}
+            self._probe_points = reduced["probe_points"]
         with obs.span("train.optimizer"):
             self.optimizer.step(grads)
             if self.scheduler is not None:
@@ -291,12 +286,12 @@ class Trainer:
         return float(_array(loss).item())
 
     def _shard_step(self, step, shard):
-        """One shard's ``(loss, grads, sampler totals)``: eager, traced, or
+        """One shard's ``(loss, grads, probe points)``: eager, traced, or
         replayed."""
         with obs.span("train.sample"):
             batches, weights = self._step_batches(step, shard)
-            totals = self._shard_totals(shard)
-        return (*self._shard_grads(shard, batches, weights), totals)
+            probed = self._shard_probe_points(shard)
+        return (*self._shard_grads(shard, batches, weights), probed)
 
     def _shard_grads(self, shard, batches, weights):
         """One shard's ``(loss, grads)`` for pre-drawn batches."""
@@ -466,16 +461,12 @@ class Trainer:
         """Probed points across all shards' samplers as of the last step
         (overhead metric of §3.6) — under data-parallel training the global
         total from the allreduce, identical on every rank."""
-        return self._totals["probe_points"]
+        return self._probe_points
 
-    def _shard_totals(self, shard):
-        """One shard's sampler counters: cumulative probe points, and
-        rebuild seconds since the current ``train`` call began."""
-        samplers = self._shard_samplers[shard].values()
-        return {"probe_points": int(sum(s.probe_points for s in samplers)),
-                "rebuild_seconds": float(
-                    sum(s.rebuild_seconds for s in samplers)
-                    - self._rebuild_base[shard])}
+    def _shard_probe_points(self, shard):
+        """Cumulative probed points of one shard's samplers."""
+        return int(sum(s.probe_points
+                       for s in self._shard_samplers[shard].values()))
 
     # ------------------------------------------------------------------
     def train(self, steps, validate_every=200, record_every=50, label="run",
@@ -511,10 +502,6 @@ class Trainer:
             retrace-invalidating change (batch size, dtype, weight layout)
             is detected mid-run.  Ignored for closure-driven optimizers
             (L-BFGS re-evaluates the graph inside the closure).
-
-        Sampler (re)build seconds that accrue during the loop — not the
-        ``start()``-time builds, which happen before training — are
-        credited back to ``clock`` when ``background_rebuild`` is set.
         """
         history = history if history is not None else History(label=label)
         clock = clock if clock is not None else TrainingClock()
@@ -533,11 +520,6 @@ class Trainer:
         if start_step == 0:
             for sampler in self.samplers.values():
                 sampler.start()
-        self._rebuild_base = {
-            shard: sum(s.rebuild_seconds
-                       for s in self._shard_samplers[shard].values())
-            for shard in self.owned}
-        credited = 0.0
 
         self.replay_states = ({shard: _ReplayState() for shard in self.owned}
                               if compile and not use_closure else {})
@@ -549,11 +531,6 @@ class Trainer:
                         loss_value = self._closure_step(step)
                     else:
                         loss_value = self._step(step)
-
-                    rebuilt = self._totals["rebuild_seconds"]
-                    if self.background_rebuild and rebuilt > credited:
-                        clock.credit(rebuilt - credited)
-                        credited = rebuilt
 
                     is_last = step == steps - 1
                     if step % validate_every == 0 or is_last:
@@ -570,8 +547,6 @@ class Trainer:
                                    probe_points=self.total_probe_points())
                     if obs.enabled():
                         obs.gauge("train.loss", loss_value)
-                        obs.gauge("clock.raw_seconds", clock.raw_elapsed())
-                        obs.gauge("clock.credited_seconds", clock.credited)
                         obs.gauge("clock.train_seconds", clock.elapsed())
                         obs.gauge("sampler.probe_points",
                                   self.total_probe_points())
@@ -586,7 +561,7 @@ class Trainer:
         """Drive a closure-based optimizer (L-BFGS) on one fixed batch."""
         with obs.span("train.sample"):
             batches, weights = self._step_batches(step)
-            self._totals = self._shard_totals(0)
+            self._probe_points = self._shard_probe_points(0)
 
         def closure():
             with obs.span("train.forward"):

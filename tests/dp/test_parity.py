@@ -78,6 +78,16 @@ def test_world_size_parity_for_other_sampler_kinds(kind):
     _assert_bit_identical(serial, distributed)
 
 
+@pytest.mark.parametrize("world_size", [1, 2])
+def test_result_sampler_reports_the_run_statistics(world_size):
+    result = _run("burgers", world_size=world_size)
+    sampler = result.sampler
+    assert sampler.probe_points == result.history.probe_points[-1] > 0
+    assert sampler.labels is not None
+    assert sampler.world_size == world_size
+    assert sampler.n_shards >= world_size
+
+
 def test_compiled_replay_matches_eager_shard_step():
     eager = _run("burgers", world_size=1)
     compiled = _run("burgers", world_size=1, compile=True)

@@ -149,7 +149,6 @@ def test_payload_codec_round_trips_bit_exactly(trees):
         "loss": np.asarray(trees[0]["loss"]),
         "grads": trees[0]["grads"],
         "probe_points": 123,
-        "rebuild_seconds": 0.25,
         "validators": {0: {"u": (1.5, 2.5)}, 2: {"v": (0.0, 1.0)}},
     }
     # through the bytes that cross the socket, as a peer receives them
@@ -163,7 +162,6 @@ def test_payload_codec_round_trips_bit_exactly(trees):
     for a, b in zip(decoded["grads"], payload["grads"]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert decoded["probe_points"] == 123
-    assert decoded["rebuild_seconds"] == 0.25
     assert decoded["validators"] == payload["validators"]
 
 
@@ -342,6 +340,39 @@ def test_shard_sgm_sampler_state_round_trips(tmp_path):
     resumed.bind_probes(probe_loss=lambda idx: np.ones(len(idx)))
     resumed.load_state_dict(state)
     for step in range(2, 4):
+        np.testing.assert_array_equal(resumed.batch_indices(step, 8),
+                                      drawn[step])
+
+
+def test_shard_sampler_state_with_retired_rebuild_seconds_resumes():
+    # dp shard states written before the rebuild-seconds key was retired
+    # carry ``inner.rebuild_seconds``; loading ignores it
+    config = burgers_config("smoke")
+    _, interior = _interior_constraint()
+
+    def build():
+        sampler = make_shard_sampler(
+            "mis", config, interior, n_shards=2, shard=1,
+            seed_seq=np.random.SeedSequence([0, 0, 1]))
+        sampler.bind_probes(
+            probe_grad_norm=lambda idx: 1.0 + np.asarray(idx) % 7)
+        sampler.inner.tau_e = 3
+        return sampler
+
+    uninterrupted = build()
+    uninterrupted.start()
+    drawn = [uninterrupted.batch_indices(step, 8) for step in range(8)]
+
+    interrupted = build()
+    interrupted.start()
+    for step in range(4):
+        interrupted.batch_indices(step, 8)
+    state = interrupted.state_dict()
+    state["inner.rebuild_seconds"] = 0.0
+
+    resumed = build()
+    resumed.load_state_dict(state)
+    for step in range(4, 8):
         np.testing.assert_array_equal(resumed.batch_indices(step, 8),
                                       drawn[step])
 

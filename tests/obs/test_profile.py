@@ -123,7 +123,7 @@ class TestMetricsSummary:
             {"counters": {"train.steps": 10, "sampler.rebuild_seconds": 0.5,
                           "sampler.refresh_seconds": 0.5,
                           "replay.fallback_stale": 1},
-             "gauges": {"clock.raw_seconds": 4.0}},
+             "gauges": {"clock.train_seconds": 4.0}},
         ]
         summary = metrics_summary(snapshots)
         assert summary["steps"] == 10

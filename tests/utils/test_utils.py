@@ -1,12 +1,10 @@
 """Interpolation, clocks, and ASCII plotting."""
 
 import time
-import warnings
 
 import numpy as np
-import pytest
 
-from repro.utils import TrainingClock, Timer, ascii_plot, bilinear_interpolate
+from repro.utils import TrainingClock, ascii_plot, bilinear_interpolate
 
 
 class TestBilinear:
@@ -43,56 +41,18 @@ class TestBilinear:
 
 
 class TestClocks:
-    def test_timer_measures(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_training_clock_credit(self):
-        clock = TrainingClock()
-        time.sleep(0.02)
-        before = clock.elapsed()
-        clock.credit(0.015)
-        after = clock.elapsed()
-        assert after < before
-        assert after >= 0.0
-
-    def test_negative_credit_rejected(self):
-        clock = TrainingClock()
-        with pytest.raises(ValueError):
-            clock.credit(-1.0)
-
     def test_elapsed_never_negative(self):
         clock = TrainingClock()
-        with pytest.warns(RuntimeWarning, match="exceeds the wall clock"):
-            clock.credit(100.0)
-        assert clock.elapsed() == 0.0
-
-    def test_raw_and_credited_tracked_separately(self):
-        clock = TrainingClock()
-        time.sleep(0.02)
-        clock.credit(0.005)
-        clock.credit(0.005)
-        assert clock.credited == pytest.approx(0.01)
-        raw = clock.raw_elapsed()
-        assert raw >= 0.02
-        assert clock.elapsed() == pytest.approx(raw - 0.01, abs=1e-3)
-        # crediting leaves the raw clock untouched
-        assert clock.raw_elapsed() >= raw
+        first = clock.elapsed()
+        time.sleep(0.01)
+        second = clock.elapsed()
+        assert 0.0 <= first <= second
+        assert second - first >= 0.009
 
     def test_offset_pre_ages_raw_clock(self):
         clock = TrainingClock(offset=5.0)
-        assert clock.raw_elapsed() >= 5.0
+        assert clock.offset == 5.0
         assert clock.elapsed() >= 5.0
-
-    def test_overcredit_warns_once(self):
-        clock = TrainingClock()
-        with pytest.warns(RuntimeWarning, match="exceeds the wall clock"):
-            clock.credit(50.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            clock.credit(1.0)  # already warned; stays quiet
-        assert clock.credited == 51.0
 
 
 class TestAsciiPlot:
