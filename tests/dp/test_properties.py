@@ -10,6 +10,8 @@ Hypothesis drives the two invariants the whole design rests on:
   sampler kind the dp mode supports.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,7 +349,7 @@ def test_shard_sgm_sampler_state_round_trips(tmp_path):
 def test_shard_sampler_state_with_retired_rebuild_seconds_resumes():
     # dp shard states written before the rebuild-seconds key was retired
     # carry ``inner.rebuild_seconds``; loading ignores it
-    config = burgers_config("smoke")
+    config = dataclasses.replace(burgers_config("smoke"), tau_e=3)
     _, interior = _interior_constraint()
 
     def build():
@@ -356,7 +358,6 @@ def test_shard_sampler_state_with_retired_rebuild_seconds_resumes():
             seed_seq=np.random.SeedSequence([0, 0, 1]))
         sampler.bind_probes(
             probe_grad_norm=lambda idx: 1.0 + np.asarray(idx) % 7)
-        sampler.inner.tau_e = 3
         return sampler
 
     uninterrupted = build()
