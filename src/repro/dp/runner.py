@@ -260,11 +260,11 @@ class _DPSamplerStats:
     """Picklable sampler statistics of one rank: the run record's
     ``sampler.json`` and :attr:`RunResult.sampler` of a dp run.
 
-    ``probe_points`` is the exact global total from the last allreduce;
-    refresh/rebuild counts sum this rank's hosted interior shards (the
-    payloads do not carry them — they are diagnostics, not trajectory
-    state).  ``labels`` are the global cluster labels every SGM shard
-    holds (``None`` for the other kinds).
+    ``probe_points`` is the exact global total from the last allreduce.
+    Refresh/rebuild counts are one hosted interior shard's: every shard
+    refreshes and rebuilds in lockstep from one plan, so they match a
+    serial run's at any world size.  ``labels`` are the global cluster
+    labels every SGM shard holds (``None`` for the other kinds).
     """
 
     def __init__(self, trainer, sampler_name):
@@ -276,10 +276,8 @@ class _DPSamplerStats:
         interior = [dp.shard_samplers[key] for key in dp.shard_samplers
                     if key[0] == "interior"]
         self.labels = getattr(interior[0], "labels", None)
-        self.refresh_count = sum(getattr(s, "refresh_count", 0)
-                                 for s in interior)
-        self.rebuild_count = sum(getattr(s, "rebuild_count", 0)
-                                 for s in interior)
+        self.refresh_count = getattr(interior[0], "refresh_count", 0)
+        self.rebuild_count = getattr(interior[0], "rebuild_count", 0)
 
     def __repr__(self):
         return (f"_DPSamplerStats(name={self.name!r}, "

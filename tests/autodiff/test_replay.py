@@ -8,6 +8,8 @@ importance refreshes are the hardest case (per-step weight inputs plus
 probe forward passes between steps).
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,18 @@ from repro.api.session import Session, _wire_training
 from repro.autodiff import ReplayStale
 
 
-def _train(problem, sampler, compile, steps=6, hooks=()):
+def _wire(problem, sampler):
+    """A fresh smoke-scale trainer, wired as a session would wire it."""
     session = Session(problem, scale="smoke").sampler(sampler)
     prob = session.build()
     trainer, _ = _wire_training(prob, session._config, sampler,
                                 session._config.batch_small,
                                 session._config.seed, [])
+    return trainer
+
+
+def _train(problem, sampler, compile, steps=6, hooks=()):
+    trainer = _wire(problem, sampler)
     history = trainer.train(steps, validate_every=10**6, record_every=1,
                             step_hooks=hooks, compile=compile)
     return list(history.losses), trainer
@@ -35,6 +43,33 @@ def test_replay_matches_eager_bit_identically(problem):
     # the program must actually have compiled (not silently fallen back)
     assert trainer.compile_info() == "replay", trainer.compile_info()
     assert replayed == eager
+
+
+def _steps_per_second(compile, steps=200):
+    """Whole-step throughput of ``Trainer.train`` on burgers x sgm.
+
+    Wiring is excluded; validation and recording are pushed past the
+    horizon so the loop is pure step work.  Replay's trace steps and its
+    compile are inside the timed region: the rate is what a run of
+    ``steps`` steps observes.
+    """
+    trainer = _wire("burgers", "sgm")
+    started = time.perf_counter()
+    trainer.train(steps, validate_every=10**6, record_every=10**6,
+                  compile=compile)
+    elapsed = time.perf_counter() - started
+    assert trainer.compile_info() == ("replay" if compile else "eager")
+    return steps / elapsed
+
+
+def test_replay_is_not_slower_than_eager_on_burgers():
+    # interleaved pairs, best of 3 per side: a slow spell on a shared
+    # host hits both sides instead of one
+    eager, replay = [], []
+    for _ in range(3):
+        eager.append(_steps_per_second(compile=False))
+        replay.append(_steps_per_second(compile=True))
+    assert max(replay) >= max(eager), (replay, eager)
 
 
 def test_compile_reports_tracing_before_enough_steps():
@@ -75,11 +110,7 @@ def test_closure_optimizers_ignore_compile():
     # be a no-op there (no replay state machine), not an error
     from repro.nn import LBFGS
 
-    session = Session("burgers", scale="smoke").sampler("uniform")
-    prob = session.build()
-    trainer, _ = _wire_training(prob, session._config, "uniform",
-                                session._config.batch_small,
-                                session._config.seed, [])
+    trainer = _wire("burgers", "uniform")
     trainer.optimizer = LBFGS(trainer.params)
     trainer.scheduler = None
     history = trainer.train(2, validate_every=10**6, record_every=1,

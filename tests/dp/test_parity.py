@@ -78,6 +78,19 @@ def test_world_size_parity_for_other_sampler_kinds(kind):
     _assert_bit_identical(serial, distributed)
 
 
+def _serial_sgm_counts(problem):
+    """(refresh, rebuild) counts of the same run through ``run_problem``."""
+    from repro.api.problems import build_problem
+    from repro.api.session import run_problem
+    config = PROBLEMS[problem]("smoke")
+    prob = build_problem(problem, config,
+                         rng=np.random.default_rng(config.seed),
+                         n_interior=N_INTERIOR)
+    serial = run_problem(prob, config, sampler="sgm", batch_size=BATCH,
+                         seed=config.seed, steps=STEPS, validators=[]).sampler
+    return serial.refresh_count, serial.rebuild_count
+
+
 @pytest.mark.parametrize("world_size", [1, 2])
 def test_result_sampler_reports_the_run_statistics(world_size):
     result = _run("burgers", world_size=world_size)
@@ -86,6 +99,11 @@ def test_result_sampler_reports_the_run_statistics(world_size):
     assert sampler.labels is not None
     assert sampler.world_size == world_size
     assert sampler.n_shards >= world_size
+    # the shards refresh and rebuild in lockstep from one plan: the counts
+    # are the plan's, whatever the placement, and equal the serial run's
+    counts = (sampler.refresh_count, sampler.rebuild_count)
+    assert counts[1] >= 1
+    assert counts == _serial_sgm_counts("burgers")
 
 
 def test_compiled_replay_matches_eager_shard_step():
@@ -95,9 +113,10 @@ def test_compiled_replay_matches_eager_shard_step():
 
 
 def test_process_backend_matches_inline(tmp_path):
-    serial = _run("burgers", world_size=1)
-    distributed = _run("burgers", world_size=2, backend="process")
-    _assert_bit_identical(serial, distributed)
+    for problem, world_size in (("burgers", 2), ("poisson3d", 4)):
+        serial = _run(problem, world_size=1)
+        distributed = _run(problem, world_size=world_size, backend="process")
+        _assert_bit_identical(serial, distributed)
 
 
 def test_compile_under_process_backend_matches_eager_inline(tmp_path):

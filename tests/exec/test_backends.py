@@ -89,9 +89,9 @@ def test_suite_is_bit_identical_across_all_three_backends(tmp_path):
 
 def test_matrix_is_bit_identical_across_serial_and_queue(tmp_path):
     problems = ("burgers", "poisson3d")
-    serial = run_matrix(problems, ["uniform"], backend="serial",
+    serial = run_matrix(problems, SAMPLERS, backend="serial",
                         scale="smoke", steps=4)
-    queue = run_matrix(problems, ["uniform"], backend="queue",
+    queue = run_matrix(problems, SAMPLERS, backend="queue",
                        scale="smoke", steps=4,
                        store=tmp_path / "qstore")
     assert queue.backend == "queue"

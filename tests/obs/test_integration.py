@@ -1,17 +1,21 @@
 """End-to-end tracing: trainer phases, replay counters, pools, and the CLI.
 
-The two guarantees under test: tracing is observation-only (trajectories
-byte-identical with it on), and the recorded spans actually account for
-the step (phase coverage, sampler overhead, pool round trips).
+The three guarantees under test: tracing is observation-only (trajectories
+byte-identical with it on), it costs at most 5% of a step, and the
+recorded spans actually account for the step (phase coverage, sampler
+overhead, pool round trips).
 """
 
 import json
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro
 from repro import obs
+from repro.api.session import _wire_training
 from repro.cli import main
 from repro.store import RunStore
 
@@ -71,6 +75,97 @@ class TestTracedTraining:
         assert counters["train.steps"] == 12
         assert counters["sampler.rebuild_count"] >= 1
         assert counters["sampler.rebuild_seconds"] > 0.0
+
+
+class TestOverhead:
+    STEPS = 150
+
+    @staticmethod
+    def _trainer():
+        """A fresh burgers x sgm smoke trainer, wired as ``run_problem``
+        wires it (so outside any tracer, like the sampler's first build)."""
+        session = repro.problem("burgers", scale="smoke").sampler("sgm")
+        config = session._config
+        trainer, _ = _wire_training(session.build(), config, "sgm",
+                                    config.batch_small, config.seed, [])
+        return trainer, config
+
+    def _train_seconds(self):
+        trainer, config = self._trainer()
+        started = time.perf_counter()
+        trainer.train(self.STEPS, validate_every=config.validate_every,
+                      record_every=config.record_every)
+        return time.perf_counter() - started
+
+    @staticmethod
+    def _seconds_per_call(call, n=500, repeats=10):
+        """Best-of-``repeats`` seconds per ``call(i)`` over ``n`` calls."""
+        best = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            for i in range(n):
+                call(i)
+            best = min(best, (time.perf_counter() - started) / n)
+        return best
+
+    def test_tracing_costs_at_most_five_percent_of_a_step(self, tmp_path,
+                                                          monkeypatch):
+        """A wall-clock A/B of traced against untraced runs is noise-bound
+        on a small shared host: single pairs of this run differ by tens of
+        percent.  So the overhead is assembled from steady parts: the
+        tracer calls one traced run makes (a deterministic count), times
+        each call's cost on a real streaming tracer (best of tight loops),
+        over the untraced run's time (best of 3)."""
+        untraced = min(self._train_seconds() for _ in range(3))
+
+        calls = Counter()
+
+        class CountingTracer(obs.Tracer):
+            def span(self, *args, **kwargs):
+                calls["span"] += 1
+                return super().span(*args, **kwargs)
+
+            def inc(self, *args, **kwargs):
+                calls["inc"] += 1
+                return super().inc(*args, **kwargs)
+
+            def set_gauge(self, *args, **kwargs):
+                calls["set_gauge"] += 1
+                return super().set_gauge(*args, **kwargs)
+
+            def snapshot_metrics(self, *args, **kwargs):
+                calls["snapshot_metrics"] += 1
+                return super().snapshot_metrics(*args, **kwargs)
+
+        trainer, config = self._trainer()
+        with monkeypatch.context() as patch:
+            patch.setattr(obs, "Tracer", CountingTracer)
+            with obs.tracing():
+                trainer.train(self.STEPS,
+                              validate_every=config.validate_every,
+                              record_every=config.record_every)
+        assert calls["span"] >= self.STEPS   # one train.step span each
+
+        def span(i):
+            with obs.span("train.step", step=i):
+                pass
+
+        with obs.tracing(stream=tmp_path / "spans.jsonl",
+                         metrics_stream=tmp_path / "metrics.jsonl"):
+            with obs.span("train.run"):   # step spans flush under the run
+                cost = {
+                    "span": self._seconds_per_call(span),
+                    "inc": self._seconds_per_call(
+                        lambda i: obs.inc("train.steps")),
+                    "set_gauge": self._seconds_per_call(
+                        lambda i: obs.gauge("train.loss", 0.5)),
+                    "snapshot_metrics": self._seconds_per_call(
+                        lambda i: obs.snapshot_metrics(step=i,
+                                                       wall_time=0.0)),
+                }
+        traced_extra = sum(calls[name] * cost[name] for name in cost)
+        overhead = traced_extra / untraced
+        assert overhead <= 0.05, (overhead, dict(calls), cost, untraced)
 
 
 class TestReplayTracing:
