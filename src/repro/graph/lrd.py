@@ -15,6 +15,13 @@ the triangle inequality).  Clusters therefore provably satisfy the budget.
 target cluster count, so higher levels give coarser decompositions
 (``n_clusters ≈ n / 2^level``) unless the resistance budget stops the
 contraction first.
+
+The contraction is one greedy pass over the edges in ascending resistance
+order (a stable sort, so ties keep edge order).  It is a union-find with
+path compression over plain Python lists (``parent``, ``size``,
+``diameter``), converted from numpy once, because per-element numpy
+indexing costs more than the merge itself.  The final root of every node
+comes from vectorised pointer jumping.
 """
 
 from __future__ import annotations
@@ -27,39 +34,6 @@ import scipy.sparse as sp
 from .resistance import approx_edge_resistance
 
 __all__ = ["LRDResult", "lrd_decompose", "cluster_sizes"]
-
-
-class _UnionFind:
-    """Union-find with per-root cluster size and resistance-diameter."""
-
-    def __init__(self, n):
-        self.parent = np.arange(n)
-        self.size = np.ones(n, dtype=np.int64)
-        self.diameter = np.zeros(n)
-
-    def find(self, node):
-        root = node
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[node] != root:       # path compression
-            self.parent[node], node = root, self.parent[node]
-        return root
-
-    def union(self, a, b, edge_resistance, budget):
-        """Merge the clusters of ``a``/``b`` if the merged resistance
-        diameter stays within ``budget``.  Returns True on merge."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        merged_diameter = self.diameter[ra] + edge_resistance + self.diameter[rb]
-        if merged_diameter > budget:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.diameter[ra] = merged_diameter
-        return True
 
 
 @dataclass
@@ -131,19 +105,47 @@ def lrd_decompose(adjacency, level=6, budget=None, num_vectors=16, seed=0,
         budget = float(edge_resistance.mean()) * (2.0 ** level)
 
     order = np.argsort(edge_resistance, kind="stable")
-    uf = _UnionFind(n)
+    heads = edges[order, 0].tolist()
+    tails = edges[order, 1].tolist()
+    resistances = edge_resistance[order].tolist()
+    parent = list(range(n))
+    size = [1] * n
+    diameter = [0.0] * n
     clusters = n
     target = max(int(np.ceil(n / 2.0 ** level)), min_clusters)
-    for idx in order:
+    for a, b, r in zip(heads, tails, resistances):
         if clusters <= target:
             break
-        a, b = edges[idx]
-        if uf.union(int(a), int(b), float(edge_resistance[idx]), budget):
-            clusters -= 1
+        ra = a
+        while parent[ra] != ra:
+            ra = parent[ra]
+        while parent[a] != ra:                  # path compression
+            parent[a], a = ra, parent[a]
+        rb = b
+        while parent[rb] != rb:
+            rb = parent[rb]
+        while parent[b] != rb:
+            parent[b], b = rb, parent[b]
+        if ra == rb:
+            continue
+        merged = diameter[ra] + r + diameter[rb]
+        if merged > budget:
+            continue
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        size[ra] += size[rb]
+        diameter[ra] = merged
+        clusters -= 1
 
-    roots = np.array([uf.find(i) for i in range(n)])
+    roots = np.asarray(parent)
+    while True:                                 # pointer jumping
+        jumped = roots[roots]
+        if np.array_equal(jumped, roots):
+            break
+        roots = jumped
     unique_roots, labels = np.unique(roots, return_inverse=True)
-    diameters = uf.diameter[unique_roots]
+    diameters = np.asarray(diameter)[unique_roots]
     return LRDResult(labels=labels, n_clusters=len(unique_roots),
                      diameters=diameters, edge_resistance=edge_resistance,
                      edges=edges, budget=float(budget))

@@ -51,13 +51,19 @@ def _minmax(values):
     return (values - lo) / (hi - lo)
 
 
-def knn_lrd_labels(features, *, k, level, num_vectors, knn_backend, seed):
-    """S1 + S2: cluster labels of a kNN PGM's LRD decomposition."""
-    with obs.span("sampler.knn_build"):
-        adjacency = knn_adjacency(features, k, backend=knn_backend)
+def knn_lrd_labels(features, *, k, level, num_vectors, knn_backend, seed,
+                   adjacency=None):
+    """S1 + S2: cluster labels of a kNN PGM's LRD decomposition.
+
+    Returns ``(labels, adjacency)``.  A given ``adjacency`` (the kNN PGM of
+    the same ``features``) skips S1."""
+    if adjacency is None:
+        with obs.span("sampler.knn_build"):
+            adjacency = knn_adjacency(features, k, backend=knn_backend)
     with obs.span("sampler.cluster_update"):
-        return lrd_decompose(adjacency, level=level, num_vectors=num_vectors,
-                             seed=seed).labels
+        labels = lrd_decompose(adjacency, level=level,
+                               num_vectors=num_vectors, seed=seed).labels
+    return labels, adjacency
 
 
 def split_clusters(labels):
@@ -73,7 +79,9 @@ class ClusterPlan:
     Shared by the ``n_shards`` samplers that split the cloud's clusters
     (one for serial SGM).  Only the latest rebuild is cached: samplers
     sharing a plan rebuild in lockstep, so the shards co-located on one
-    rank share a single decomposition.
+    rank share a single decomposition.  The kNN PGM of the plan's own
+    features does not depend on the rebuild index, so it is built once and
+    kept; only the LRD step, whose seed does, runs again.
     """
 
     #: spawn-key constant separating plan RNG streams from sampler streams
@@ -111,18 +119,21 @@ class ClusterPlan:
         self.cells_per_dim = int(cells_per_dim)
         self.seed = int(seed)
         self._latest = None
+        self._adjacency = None
 
     def labels(self, rebuild_index, features=None):
         """The global cluster labels of rebuild ``rebuild_index``.
 
         ``features`` replaces the plan's own for this build (§3.2's
         output-augmented graph); every caller of one rebuild must pass the
-        same matrix.  Only the call that actually builds the decomposition
-        is timed (cache hits are free), so a build is counted once.
+        same matrix; its kNN PGM is built afresh on every rebuild.  Only
+        the call that actually builds the decomposition is timed (cache hits
+        are free), so a build is counted once.
         """
         if self._latest is not None and self._latest[0] == rebuild_index:
             return self._latest[1]
-        features = self.features if features is None else features
+        own_features = features is None
+        features = self.features if own_features else features
         seed = int(np.random.default_rng(np.random.SeedSequence(
             [self.seed, self._STREAM, rebuild_index])).integers(2 ** 31))
         with obs.timed_span("sampler.rebuild") as rebuild_timer:
@@ -135,10 +146,13 @@ class ClusterPlan:
                         cells_per_dim=self.cells_per_dim,
                         num_vectors=self.num_vectors, seed=seed)
             else:
-                labels = knn_lrd_labels(
+                labels, adjacency = knn_lrd_labels(
                     features, k=self.k, level=self.level,
                     num_vectors=self.num_vectors,
-                    knn_backend=self.knn_backend, seed=seed)
+                    knn_backend=self.knn_backend, seed=seed,
+                    adjacency=self._adjacency if own_features else None)
+                if own_features:
+                    self._adjacency = adjacency
         self._latest = (rebuild_index, labels)
         obs.inc("sampler.rebuild_count")
         obs.inc("sampler.rebuild_seconds", rebuild_timer.seconds)

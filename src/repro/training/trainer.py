@@ -142,17 +142,14 @@ class Trainer:
     # ------------------------------------------------------------------
     # Probe callbacks (extra forward passes for importance refreshes)
     # ------------------------------------------------------------------
-    def _chunked(self, fn, indices):
-        indices = np.asarray(indices)
-        if len(indices) <= self.PROBE_CHUNK:
-            return fn(indices)
-        parts = [fn(indices[i:i + self.PROBE_CHUNK])
-                 for i in range(0, len(indices), self.PROBE_CHUNK)]
-        return np.concatenate(parts, axis=0)
-
     def _bind_probes(self, constraint, sampler):
+        # the callbacks capture the net and the chunk size, never the
+        # trainer: a sampler -> trainer reference would make a cycle that
+        # keeps a finished run alive until the next full collection
+        net, chunk = self.net, self.PROBE_CHUNK
+
         def loss_chunk(indices):
-            residuals, weight = constraint.residuals(self.net, indices)
+            residuals, weight = constraint.residuals(net, indices)
             total = np.zeros((len(indices), 1))
             for tensor in residuals.values():
                 total += tensor.numpy().astype(np.float64) ** 2
@@ -161,13 +158,13 @@ class Trainer:
             return total.ravel()
 
         def outputs_chunk(indices):
-            fields = constraint.build_fields(self.net, indices)
+            fields = constraint.build_fields(net, indices)
             cols = [fields.get(name).numpy() for name in
                     constraint.output_names]
             return np.concatenate(cols, axis=1)
 
         def grad_norm_chunk(indices):
-            fields = constraint.build_fields(self.net, indices)
+            fields = constraint.build_fields(net, indices)
             total = np.zeros((len(indices), 1))
             velocity = [v for v in ("u", "v", "w")
                         if v in constraint.output_names]
@@ -181,9 +178,9 @@ class Trainer:
             return np.sqrt(total).ravel()
 
         sampler.bind_probes(
-            probe_loss=lambda idx: self._chunked(loss_chunk, idx),
-            probe_outputs=lambda idx: self._chunked(outputs_chunk, idx),
-            probe_grad_norm=lambda idx: self._chunked(grad_norm_chunk, idx))
+            probe_loss=lambda idx: _chunked(loss_chunk, idx, chunk),
+            probe_outputs=lambda idx: _chunked(outputs_chunk, idx, chunk),
+            probe_grad_norm=lambda idx: _chunked(grad_norm_chunk, idx, chunk))
 
     # ------------------------------------------------------------------
     # One optimizer step, split into the batch/weight phase (samplers,
@@ -575,6 +572,15 @@ class Trainer:
             if self.scheduler is not None:
                 self.scheduler.step()
         return loss_value
+
+
+def _chunked(fn, indices, chunk):
+    """``fn`` over ``indices`` in slices of at most ``chunk`` points."""
+    indices = np.asarray(indices)
+    if len(indices) <= chunk:
+        return fn(indices)
+    parts = [fn(indices[i:i + chunk]) for i in range(0, len(indices), chunk)]
+    return np.concatenate(parts, axis=0)
 
 
 def _average_errors(per_validator):

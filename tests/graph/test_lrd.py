@@ -1,12 +1,15 @@
 """LRD decomposition invariants (paper S2)."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.graph import (
-    adjacency_from_edges, cluster_sizes, exact_effective_resistance,
-    grid_partition, knn_adjacency, lrd_decompose, parallel_lrd,
+    LRDResult, adjacency_from_edges, cluster_sizes,
+    exact_effective_resistance, grid_partition, knn_adjacency,
+    lrd_decompose, parallel_lrd,
 )
+from repro.graph import lrd as lrd_module
 
 RNG = np.random.default_rng(0)
 
@@ -14,6 +17,133 @@ RNG = np.random.default_rng(0)
 def cloud_adjacency(n=200, k=6, seed=0):
     points = np.random.default_rng(seed).uniform(size=(n, 2))
     return points, knn_adjacency(points, k)
+
+
+class _UnionFind:
+    """Union-find with per-root cluster size and resistance-diameter: the
+    contraction's reference implementation over numpy arrays."""
+
+    def __init__(self, n):
+        self.parent = np.arange(n)
+        self.size = np.ones(n, dtype=np.int64)
+        self.diameter = np.zeros(n)
+
+    def find(self, node):
+        root = node
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[node] != root:       # path compression
+            self.parent[node], node = root, self.parent[node]
+        return root
+
+    def union(self, a, b, edge_resistance, budget):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        merged_diameter = (self.diameter[ra] + edge_resistance
+                           + self.diameter[rb])
+        if merged_diameter > budget:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.diameter[ra] = merged_diameter
+        return True
+
+
+def oracle_contract(n, edges, edge_resistance, level, budget=None,
+                    min_clusters=2):
+    """The greedy LRD contraction, one ``find`` call per node at the end."""
+    if budget is None:
+        budget = (float(edge_resistance.mean()) * (2.0 ** level)
+                  if len(edge_resistance) else 0.0)
+    order = np.argsort(edge_resistance, kind="stable")
+    uf = _UnionFind(n)
+    clusters = n
+    target = max(int(np.ceil(n / 2.0 ** level)), min_clusters)
+    for idx in order:
+        if clusters <= target:
+            break
+        a, b = edges[idx]
+        if uf.union(int(a), int(b), float(edge_resistance[idx]), budget):
+            clusters -= 1
+    roots = np.array([uf.find(i) for i in range(n)])
+    unique_roots, labels = np.unique(roots, return_inverse=True)
+    return LRDResult(labels=labels, n_clusters=len(unique_roots),
+                     diameters=uf.diameter[unique_roots],
+                     edge_resistance=edge_resistance, edges=edges,
+                     budget=float(budget))
+
+
+def assert_matches_oracle(adjacency, **kwargs):
+    """``lrd_decompose`` equals the oracle contraction of the same ER
+    estimates, bit for bit."""
+    result = lrd_decompose(adjacency, **kwargs)
+    oracle = oracle_contract(
+        adjacency.shape[0], result.edges, result.edge_resistance,
+        kwargs.get("level", 6), budget=kwargs.get("budget"),
+        min_clusters=kwargs.get("min_clusters", 2))
+    assert np.array_equal(result.labels, oracle.labels)
+    assert np.array_equal(result.diameters, oracle.diameters)
+    assert result.n_clusters == oracle.n_clusters
+    assert result.budget == oracle.budget
+    return result
+
+
+class TestContractionOracle:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("level", [1, 3, 6])
+    def test_knn_clouds(self, dim, level):
+        points = np.random.default_rng(dim).uniform(size=(700, dim))
+        assert_matches_oracle(knn_adjacency(points, 7), level=level,
+                              seed=level)
+
+    def test_explicit_resistances_with_exact_ties(self):
+        _, adj = cloud_adjacency(n=400, k=6, seed=2)
+        m = sp.triu(adj, k=1).nnz
+        ties = np.random.default_rng(1).integers(1, 4, size=m) * 0.25
+        assert_matches_oracle(adj, level=4, edge_resistance=ties)
+
+    def test_finite_budget_stops_before_target(self):
+        _, adj = cloud_adjacency(n=300)
+        result = assert_matches_oracle(adj, level=5, budget=1e-3, seed=2)
+        assert result.n_clusters > int(np.ceil(300 / 2 ** 5))
+
+    def test_min_clusters_stop(self):
+        _, adj = cloud_adjacency(n=128)
+        result = assert_matches_oracle(adj, level=20, budget=np.inf,
+                                       min_clusters=7)
+        assert result.n_clusters == 7
+
+    def test_disconnected_graph(self):
+        _, left = cloud_adjacency(n=150, seed=4)
+        _, right = cloud_adjacency(n=90, seed=5)
+        adj = sp.block_diag([left, right], format="csr")
+        result = assert_matches_oracle(adj, level=8, budget=np.inf,
+                                       edge_resistance=np.ones(
+                                           sp.triu(adj, k=1).nnz))
+        assert not set(result.labels[:150]) & set(result.labels[150:])
+
+    def test_empty_edge_set(self):
+        assert_matches_oracle(sp.csr_matrix((6, 6)), level=2)
+
+    def test_parallel_lrd(self, monkeypatch):
+        points = np.random.default_rng(8).uniform(size=(600, 2))
+        labels, count = parallel_lrd(points, k=5, level=3, cells_per_dim=2,
+                                     seed=4)
+
+        def oracle_decompose(adjacency, **kwargs):
+            result = lrd_decompose(adjacency, **kwargs)
+            return oracle_contract(adjacency.shape[0], result.edges,
+                                   result.edge_resistance, kwargs["level"])
+
+        # the per-cell worker looks ``lrd_decompose`` up on its module
+        monkeypatch.setattr(lrd_module, "lrd_decompose", oracle_decompose)
+        oracle_labels, oracle_count = parallel_lrd(
+            points, k=5, level=3, cells_per_dim=2, seed=4)
+        assert np.array_equal(labels, oracle_labels)
+        assert count == oracle_count
 
 
 class TestDecomposition:

@@ -185,6 +185,54 @@ class TestClusterPlan:
             assert np.all(composition >= 1)
 
 
+class TestKnnReuse:
+    """The kNN PGM of a plan's own features is built once per plan."""
+
+    PLAN = TestClusterPlan.PLAN
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        from repro.sampling import sgm as sgm_module
+        calls = []
+        original = getattr(sgm_module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sgm_module, name, counted)
+        return calls
+
+    def test_rebuilds_of_own_features_build_knn_once(self, monkeypatch):
+        fresh = [ClusterPlan(grid_features(), 1, **self.PLAN).labels(i)
+                 for i in range(3)]
+        knn_calls = self.count_calls(monkeypatch, "knn_adjacency")
+        plan = ClusterPlan(grid_features(), 1, **self.PLAN)
+        for i in range(3):
+            np.testing.assert_array_equal(plan.labels(i), fresh[i])
+        assert len(knn_calls) == 1
+
+    def test_output_features_build_knn_every_rebuild(self, monkeypatch):
+        knn_calls = self.count_calls(monkeypatch, "knn_adjacency")
+        sampler, _ = make_sampler(append_output_features=True)
+        for _ in range(3):
+            sampler.build_clusters()
+        assert sampler.rebuild_count == 3
+        assert len(knn_calls) == 3
+
+    def test_shards_sharing_a_plan_build_once_per_rebuild(self,
+                                                          monkeypatch):
+        knn_calls = self.count_calls(monkeypatch, "knn_adjacency")
+        lrd_calls = self.count_calls(monkeypatch, "lrd_decompose")
+        plan = ClusterPlan(grid_features(), 2, **self.PLAN)
+        shards = [SGMSampler(plan, shard, seed=shard) for shard in range(2)]
+        for _ in range(3):
+            for sampler in shards:
+                sampler.build_clusters()
+        assert len(knn_calls) == 1
+        assert len(lrd_calls) == 3
+
+
 class TestCheckpoint:
     def test_checkpoint_with_retired_rebuild_seconds_resumes(self, tmp_path):
         # checkpoints written before the rebuild-seconds key was retired

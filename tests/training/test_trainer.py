@@ -1,6 +1,8 @@
 """Trainer integration: end-to-end convergence and sampler wiring."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +145,35 @@ class TestMechanics:
         assert history.steps[after - 1] == 20
         gap = history.wall_times[after] - history.wall_times[after - 1]
         assert gap >= delay
+
+    def test_finished_run_is_freed_without_a_collection(self):
+        # the samplers' probe callbacks must not hold the trainer: a
+        # trainer <-> sampler cycle keeps a finished run (replay program,
+        # cluster plan, clouds, optimizer) alive until a full collection
+        from repro.api.problems import build_problem
+        from repro.api.registry import problem_registry
+        from repro.api.samplers import make_sampler
+        config = problem_registry.get("burgers").config_factory("smoke")
+        prob = build_problem("burgers", config, 400,
+                             np.random.default_rng(0))
+        for constraint in prob.constraints:
+            constraint.batch_size = 64
+        net = FullyConnected(prob.in_features, prob.out_features, width=8,
+                             depth=1, rng=np.random.default_rng(0))
+        sampler = make_sampler("sgm", config, prob.interior_cloud, seed=0)
+        trainer = Trainer(net, prob.constraints, Adam(net.parameters()),
+                          samplers={"interior": sampler}, seed=0)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trainer.train(12, validate_every=100, record_every=6,
+                          compile=True)
+            alive = weakref.ref(trainer)
+            del trainer, sampler
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestClosureOptimizers:
