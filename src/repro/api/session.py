@@ -4,7 +4,9 @@
 trainer are wired together; everything is derived from the
 :class:`~repro.api.Problem` (input/output widths, probe coordinates) and
 the config (architecture, schedules, SGM hyper-parameters) rather than
-hardcoded per workload.
+hardcoded per workload.  ``train_run`` is the one lifecycle every training
+run goes through — serial runs, suite cells, and each data-parallel rank:
+record, trace, train, finish.
 
 :class:`Session` is the fluent front door::
 
@@ -26,7 +28,7 @@ from ..utils import TrainingClock
 from .problems import build_problem
 from .registry import problem_registry, sampler_registry
 from .samplers import make_sampler
-from .types import RunResult
+from .types import RunResult, SamplerStats
 
 __all__ = ["Session", "problem", "run_problem"]
 
@@ -136,14 +138,37 @@ def run_problem(prob, config, sampler="uniform", batch_size=None,
     batch_size = config.batch_small if batch_size is None else batch_size
     steps = config.steps if steps is None else steps
     label = label if label is not None else f"{prob.name}:{sampler}"
-    trainer, sampler_obj = _wire_training(prob, config, sampler, batch_size,
-                                          seed, validators)
+    trainer, _ = _wire_training(prob, config, sampler, batch_size, seed,
+                                validators)
+    return train_run(
+        trainer, prob, config, sampler=sampler, seed=seed, steps=steps,
+        label=label, batch_size=batch_size,
+        validators=("default" if validators is None
+                    else ("none" if len(validators) == 0 else "custom")),
+        store=store, run_id=run_id, resume=resume,
+        checkpoint_every=checkpoint_every, step_hooks=step_hooks,
+        compile=compile, trace=trace)
 
-    recorder = None
-    history = None
-    clock = None
+
+def train_run(trainer, prob, config, *, sampler, seed, steps, label,
+              batch_size, validators="default", store=None, run_id=None,
+              resume=False, checkpoint_every=None, step_hooks=(),
+              compile=False, trace=False):
+    """The lifecycle of every training run, serial or data-parallel.
+
+    In order: open (or, with ``resume``, re-open) the ``store`` record,
+    stream the history into it, install the per-run tracer, call
+    ``trainer.train`` once, then mark the record stopped if training
+    raised or finish it otherwise, and return the
+    :class:`~repro.api.RunResult`.  A data-parallel rank is told apart by
+    ``trainer.dp``: its record carries the shard and rank counts and
+    writes no checkpoints.  ``validators`` is the recorded validator mode
+    (``default``/``none``/``custom``); the other arguments are
+    :func:`run_problem`'s, resolved.
+    """
+    dp = trainer.dp
+    recorder = history = clock = last_errors = None
     start_step = 0
-    last_errors = None
     hooks = list(step_hooks)
     if store is not None:
         from ..store import RunStore
@@ -163,12 +188,13 @@ def run_problem(prob, config, sampler="uniform", batch_size=None,
                 problem=prob.name, config=config, sampler=sampler,
                 seed=seed, steps=steps, label=label,
                 n_interior=len(prob.interior_cloud), batch_size=batch_size,
-                validators=("default" if validators is None
-                            else ("none" if len(validators) == 0
-                                  else "custom")),
-                run_id=run_id, checkpoint_every=checkpoint_every)
+                validators=validators, run_id=run_id,
+                checkpoint_every=checkpoint_every,
+                dp_shards=None if dp is None else dp.n_shards,
+                world_size=1 if dp is None else dp.world_size)
             history = recorder.streaming_history(label)
-        hooks.append(recorder.checkpoint_hook(trainer))
+        if dp is None:
+            hooks.append(recorder.checkpoint_hook(trainer))
 
     run_tracer = None
     with ExitStack() as stack:
@@ -194,16 +220,37 @@ def run_problem(prob, config, sampler="uniform", batch_size=None,
             if recorder is not None:
                 recorder.mark_stopped(exc)
             raise
+    stats = _sampler_stats(trainer, sampler)
     if recorder is not None:
-        recorder.finish(history, sampler_obj)
+        recorder.finish(history, stats)
     coefficients = {name: module.value()
                     for name, module in prob.extra_modules.items()
                     if hasattr(module, "value")}
     return RunResult(label=label, history=history, net=trainer.net,
-                     sampler=sampler_obj, config=config,
+                     sampler=(trainer.samplers["interior"] if dp is None
+                              else stats),
+                     config=config,
                      run_id=None if recorder is None else recorder.run_id,
                      coefficients=coefficients,
                      obs=None if run_tracer is None else run_tracer.export())
+
+
+def _sampler_stats(trainer, sampler):
+    """The run's :class:`SamplerStats`.
+
+    A data-parallel rank reports the exact global ``probe_points`` of the
+    last allreduce and one hosted interior shard's labels and counts:
+    every shard refreshes and rebuilds in lockstep from one plan, so they
+    match a serial run's at any world size.
+    """
+    dp = trainer.dp
+    if dp is None:
+        return SamplerStats.of(trainer.samplers["interior"])
+    interior = next(shard_sampler for (name, _), shard_sampler
+                    in dp.shard_samplers.items() if name == "interior")
+    return SamplerStats.of(interior, name=f"dp:{sampler}",
+                           probe_points=trainer.total_probe_points(),
+                           n_shards=dp.n_shards, world_size=dp.world_size)
 
 
 class Session:

@@ -49,9 +49,6 @@ Commands
 ``table1`` / ``table2``
     Regenerate the paper's tables (wraps the ``examples/reproduce_*``
     pipelines) at a chosen scale.
-``ldc`` / ``ar``
-    Train a single method on one of the two benchmark problems
-    (legacy spellings of ``run ldc`` / ``run annular_ring``).
 ``solve-ldc`` / ``solve-ar``
     Run only the classical reference solver and report convergence.
 """
@@ -378,9 +375,10 @@ def _cmd_runs_show(store, args):
     record = store.open(args.run_id)
     for key in ("run_id", "problem", "sampler", "label", "scale", "status",
                 "seed", "steps", "n_interior", "batch_size", "validators",
-                "checkpoint_every", "repro_version", "numpy_version",
-                "python_version", "git_commit", "error"):
-        if key in record.meta:
+                "checkpoint_every", "dp_shards", "world_size",
+                "repro_version", "numpy_version", "python_version",
+                "git_commit", "error"):
+        if record.meta.get(key) is not None:
             print(f"{key:<18} {record.meta[key]}")
     history = record.history()
     print(f"{'records':<18} {len(history.steps)}")
@@ -674,28 +672,6 @@ def _cmd_analyze(args):
     return 0 if all(r.consistent for r in reports) else 1
 
 
-def _cmd_train(args, problem):
-    from repro.experiments.runner import _run_method
-    if problem == "ldc":
-        from repro.experiments import ldc_config, ldc_methods
-        config = ldc_config(args.scale)
-        methods = {m.kind: m for m in ldc_methods(config)}
-        name = "ldc"
-    else:
-        from repro.experiments import annular_ring_config, ar_methods
-        config = annular_ring_config(args.scale)
-        methods = {m.kind: m for m in
-                   ar_methods(config, include_plain_sgm=True)}
-        name = "annular_ring"
-    method = methods.get(args.method)
-    if method is None:
-        print(f"unknown method {args.method!r}; have {sorted(methods)}")
-        return 2
-    result = _run_method(name, config, method, steps=args.steps)
-    _print_run_summary(result)
-    return 0
-
-
 def _cmd_solve(args, problem):
     if problem == "ldc":
         from repro.solvers import solve_ldc
@@ -933,14 +909,6 @@ def build_parser():
         p.add_argument("--parallel", action="store_true",
                        help="shard the method sweep over a process pool")
 
-    for problem in ("ldc", "ar"):
-        p = sub.add_parser(problem, help=f"train one method on {problem}")
-        p.add_argument("--method", default="sgm",
-                       choices=("uniform", "mis", "sgm", "sgm_s"))
-        p.add_argument("--scale", default="smoke",
-                       choices=("smoke", "repro"))
-        p.add_argument("--steps", type=int, default=None)
-
     p = sub.add_parser("lint", help="run the project linter over the repro "
                        "source tree (or given paths)")
     p.add_argument("paths", nargs="*", metavar="path",
@@ -998,8 +966,6 @@ def main(argv=None):
         return _cmd_analyze(args)
     if args.command in ("table1", "table2"):
         return _cmd_table(args, int(args.command[-1]))
-    if args.command in ("ldc", "ar"):
-        return _cmd_train(args, args.command)
     if args.command == "solve-ldc":
         return _cmd_solve(args, "ldc")
     if args.command == "solve-ar":

@@ -30,19 +30,17 @@ full-batch loss sums residuals in a different order).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import tempfile
 
 import numpy as np
 
-from .. import obs
 from ..api.problems import build_problem
 from ..api.registry import problem_registry
-from ..api.session import _wire_replica
-from ..api.types import RunResult
+from ..api.session import _wire_replica, train_run
 from ..exec import resolve_backend
-from ..nn import FullyConnected
 from ..sampling import ClusterPlan
 from ..training import Trainer
 from .exchange import LocalExchange, StoreExchange, socket_path
@@ -159,11 +157,15 @@ def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators_mode,
 
 
 def _train_dp_rank(spec):
-    """Module-level rank worker: build, train, return a picklable summary.
+    """Module-level rank worker: build one replica and train it.
 
     Every execution backend (thread, process, queue) runs exactly this
-    function; the backend decides placement only.  Rank 0 additionally
-    owns the durable run record when a store root is in the spec.
+    function; the backend decides placement only.  Training goes through
+    :func:`repro.api.session.train_run`, the lifecycle serial runs use;
+    rank 0 additionally owns the durable run record when a store root is
+    in the spec, and traces when the spec asks for it.  Returns a
+    picklable dict: the rank's :class:`~repro.api.RunResult` and its
+    final ``net_state``.
     """
     config = spec["config"]
     seed = spec["seed"]
@@ -185,116 +187,21 @@ def _train_dp_rank(spec):
         prob, config, spec["sampler"], spec["batch_size"], seed,
         spec["validators_mode"], n_shards=n_shards,
         world_size=world_size, rank=rank, exchange=exchange)
-
-    recorder = None
-    history = None
-    hooks = ()
-    if spec.get("store_root") is not None and rank == 0:
-        from ..store import RunStore
-        store = RunStore(spec["store_root"])
-        recorder = store.begin_run(
-            problem=prob.name, config=config, sampler=spec["sampler"],
-            seed=seed, steps=spec["steps"], label=spec["label"],
-            n_interior=len(prob.interior_cloud),
+    try:
+        result = train_run(
+            trainer, prob, config, sampler=spec["sampler"], seed=seed,
+            steps=spec["steps"], label=spec["label"],
             batch_size=spec["batch_size"],
             validators=spec["validators_mode"],
-            run_id=spec.get("run_id"))
-        history = recorder.streaming_history(spec["label"])
-
-    tracer_cm = rank_tracer = None
-    try:
-        if spec.get("trace") and rank == 0:
-            stream = metrics_stream = None
-            if recorder is not None:
-                stream = recorder.path / "spans.jsonl"
-                metrics_stream = recorder.path / "metrics.jsonl"
-            tracer_cm = obs.tracing(stream=stream,
-                                    metrics_stream=metrics_stream)
-            rank_tracer = tracer_cm.__enter__()
-        try:
-            history = trainer.train(spec["steps"],
-                                    validate_every=config.validate_every,
-                                    record_every=config.record_every,
-                                    label=spec["label"], history=history,
-                                    step_hooks=hooks,
-                                    compile=spec["compile"])
-        except BaseException as exc:
-            if recorder is not None:
-                recorder.mark_stopped(exc)
-            raise
+            store=spec.get("store_root") if rank == 0 else None,
+            run_id=spec.get("run_id"), compile=spec["compile"],
+            trace=bool(spec.get("trace")) and rank == 0)
     finally:
-        if tracer_cm is not None:
-            tracer_cm.__exit__(None, None, None)
         close = getattr(exchange, "close", None)
         if close is not None:
             close()
-
-    sampler_stats = _DPSamplerStats(trainer, spec["sampler"])
-    if recorder is not None:
-        recorder.finish(history, sampler_stats)
-
-    coefficients = {name: module.value()
-                    for name, module in prob.extra_modules.items()
-                    if hasattr(module, "value")}
-    return {
-        "rank": rank,
-        "history": _plain_history(history),
-        "net_args": {"in_features": prob.in_features,
-                     "out_features": prob.out_features,
-                     "width": config.network.width,
-                     "depth": config.network.depth,
-                     "activation": config.network.activation,
-                     "dtype": str(np.dtype(config.network.dtype))},
-        "net_state": trainer.net.state_dict(),
-        "sampler": sampler_stats,
-        "coefficients": coefficients,
-        "run_id": None if recorder is None else recorder.run_id,
-        "obs_data": (None if rank_tracer is None
-                     else rank_tracer.export()),
-        "wall_seconds": (history.wall_times[-1] if history.wall_times
-                         else 0.0),
-    }
-
-
-class _DPSamplerStats:
-    """Picklable sampler statistics of one rank: the run record's
-    ``sampler.json`` and :attr:`RunResult.sampler` of a dp run.
-
-    ``probe_points`` is the exact global total from the last allreduce.
-    Refresh/rebuild counts are one hosted interior shard's: every shard
-    refreshes and rebuilds in lockstep from one plan, so they match a
-    serial run's at any world size.  ``labels`` are the global cluster
-    labels every SGM shard holds (``None`` for the other kinds).
-    """
-
-    def __init__(self, trainer, sampler_name):
-        dp = trainer.dp
-        self.name = f"dp:{sampler_name}"
-        self.n_shards = dp.n_shards
-        self.world_size = dp.world_size
-        self.probe_points = trainer.total_probe_points()
-        interior = [dp.shard_samplers[key] for key in dp.shard_samplers
-                    if key[0] == "interior"]
-        self.labels = getattr(interior[0], "labels", None)
-        self.refresh_count = getattr(interior[0], "refresh_count", 0)
-        self.rebuild_count = getattr(interior[0], "rebuild_count", 0)
-
-    def __repr__(self):
-        return (f"_DPSamplerStats(name={self.name!r}, "
-                f"n_shards={self.n_shards}, world_size={self.world_size}, "
-                f"probe_points={self.probe_points})")
-
-
-def _plain_history(history):
-    """Copy a (possibly streaming) history into a plain picklable one."""
-    from ..training.history import History
-    plain = History(label=history.label)
-    plain.steps = list(history.steps)
-    plain.wall_times = list(history.wall_times)
-    plain.losses = list(history.losses)
-    plain.errors = {var: list(vals) for var, vals in history.errors.items()}
-    plain.probe_points = list(history.probe_points)
-    return plain
+    return {"rank": rank, "result": result,
+            "net_state": result.net.state_dict()}
 
 
 def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
@@ -314,8 +221,8 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
     ``exchange_timeout`` is the longest a rank waits for a peer to connect
     or send; a peer that dies fails the run at once instead.
 
-    Returns a :class:`~repro.api.RunResult` whose ``history`` is rank 0's;
-    the full per-rank results are available on ``result.rank_results``.
+    Returns rank 0's :class:`~repro.api.RunResult`; ``result.rank_results``
+    lists every rank's ``{"rank", "result", "net_state"}`` dict.
     """
     config = (config if config is not None
               else problem_registry.get(problem).config_factory())
@@ -387,18 +294,9 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
         finally:
             shutil.rmtree(exchange_root, ignore_errors=True)
 
-    head = rank_results[0]
-    net = FullyConnected(
-        head["net_args"]["in_features"], head["net_args"]["out_features"],
-        width=head["net_args"]["width"], depth=head["net_args"]["depth"],
-        activation=head["net_args"]["activation"],
-        dtype=np.dtype(head["net_args"]["dtype"]))
-    net.load_state_dict(head["net_state"])
-    result = RunResult(label=label, history=head["history"], net=net,
-                       sampler=head["sampler"], config=config,
-                       run_id=head["run_id"],
-                       coefficients=head["coefficients"],
-                       obs=head["obs_data"])
+    # a copy: the head's own result stays inside rank_results, so the
+    # returned one can hold the list without a reference cycle
+    result = dataclasses.replace(rank_results[0]["result"])
     result.rank_results = rank_results
     return result
 

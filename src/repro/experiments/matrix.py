@@ -5,13 +5,13 @@ workloads; importance-sampling baselines are only credible when compared
 over many PDEs (Nabian et al. 2021, DMIS).  :func:`run_matrix` resolves a
 problems × samplers grid into cells — one :class:`~repro.api.MethodSpec`
 per (problem, sampler) — and submits **all** cells to one shared
-:mod:`repro.exec` backend via the same task construction ``run_suite``
-uses, so a 5-problem × 4-sampler matrix saturates a local pool (or a
-``repro worker`` fleet) instead of running five sequential suites.
+:mod:`repro.exec` backend, so a 5-problem × 4-sampler matrix saturates a
+local pool (or a ``repro worker`` fleet) instead of running five
+sequential suites.
 
-Every cell is built from exactly the task tuple :func:`run_suite` would
-build for the same problem, so each cell's loss/error trajectory is
-bit-identical to the corresponding standalone suite cell (parity-tested).
+:func:`~repro.experiments.run_suite` is this function over one problem,
+so each cell's loss/error trajectory is bit-identical to the
+corresponding standalone suite cell (parity-tested).
 With ``store=`` every cell records its own durable run into a single
 :class:`repro.store.RunStore`, from which ``repro runs plot`` /
 ``repro runs compare`` regenerate the convergence-vs-time figures and
@@ -237,7 +237,7 @@ def run_matrix(problems=None, methods=None, *, backend="process",
             results = exec_backend.submit(_train_method, tasks, labels,
                                           verbose=verbose)
         else:
-            with matrix_tracer.span("matrix.run", cells=len(tasks),
+            with matrix_tracer.span("suite.run", cells=len(tasks),
                                     backend=backend_name) as root:
                 results = exec_backend.submit(_train_method, tasks, labels,
                                               verbose=verbose)

@@ -1,4 +1,4 @@
-"""Experiment runner: trains every method of Table 1 / Table 2.
+"""The paper's Table 1 / Table 2 method columns and their sweeps.
 
 Each method trains an identically initialised network on the same problem;
 only the sampler (and, per the paper, dataset/batch size) differs:
@@ -9,15 +9,13 @@ only the sampler (and, per the paper, dataset/batch size) differs:
 * ``SGM``      — SGM-PINN without the stability term (S1+S2+S4)
 * ``SGM-S``    — SGM-PINN with the ISR stability term (S1-S4)
 
-The training wiring itself lives in :func:`repro.api.run_problem`; this
-module keeps the table-suite conveniences.  (The pre-registry
-``run_ldc_method`` / ``run_ar_method`` shims were removed once every caller
-had migrated to :class:`repro.api.Session` / :func:`run_suite`.)
+:func:`ldc_methods` / :func:`ar_methods` list the columns, and
+:func:`run_ldc_suite` / :func:`run_ar_suite` train them through
+:func:`repro.experiments.run_suite`.  A single method trains through
+:class:`repro.api.Session` (``repro run ldc --sampler mis``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..api.types import MethodSpec, RunResult
 
@@ -56,18 +54,6 @@ def ar_methods(config, include_plain_sgm=False):
     methods.append(MethodSpec(f"SGM-S{config.batch_small}", "sgm_s",
                               config.n_interior_small, config.batch_small))
     return methods
-
-
-def _run_method(name, config, method, validators=None, seed=None,
-                steps=None):
-    """Build the registered problem ``name`` and train one method on it."""
-    from ..api import build_problem, run_problem
-    seed = config.seed if seed is None else seed
-    prob = build_problem(name, config, method.n_interior,
-                         np.random.default_rng(seed))
-    return run_problem(prob, config, sampler=method.kind,
-                       batch_size=method.batch_size, seed=seed, steps=steps,
-                       label=method.label, validators=validators)
 
 
 def run_ldc_suite(config, methods=None, verbose=True, backend="serial",

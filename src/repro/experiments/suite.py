@@ -16,20 +16,21 @@ seeds itself from its spec (the problem build, network init, and sampler
 all derive from ``config.seed`` / the run seed), so every backend
 produces bit-identical loss trajectories; results are returned in spec
 order regardless of completion order.  Workers return
-:class:`MethodResult` payloads that are fully picklable (history, net
-state dict, sampler statistics) instead of live trainer objects.
+:class:`MethodResult` payloads that are fully picklable (history, trained
+net, sampler statistics) instead of live trainer objects.
+:func:`run_suite` is :func:`repro.experiments.run_matrix` over one
+problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import obs
-from ..api.registry import problem_registry, sampler_registry
-from ..api.types import MethodSpec, RunResult
-from ..exec import resolve_backend
+from ..api.registry import sampler_registry
+from ..api.types import MethodSpec, RunResult, SamplerStats
 
 __all__ = [
     "MethodResult", "SamplerStats", "SuiteResult", "method_label",
@@ -39,12 +40,8 @@ __all__ = [
 
 def _make_task(problem, config, spec, seed, steps, validators, verbose,
                store_root, checkpoint_every, compile=False, trace=False):
-    """The picklable work unit :func:`_train_method` consumes.
-
-    Built here (and only here) so :func:`run_suite` and the cross-problem
-    matrix produce *identical* tuples for the same cell — which is what
-    makes a matrix cell bit-identical to the standalone suite cell.
-    """
+    """The picklable work unit :func:`_train_method` consumes, one per
+    grid cell of :func:`repro.experiments.run_matrix`."""
     return (problem, config, spec, seed, steps, validators, verbose,
             store_root, checkpoint_every, compile, trace)
 
@@ -110,27 +107,6 @@ def resolve_methods(config, methods=None, n_interior=None, batch_size=None):
     return specs
 
 
-class SamplerStats:
-    """Picklable stand-in for a worker's sampler: statistics only.
-
-    Carries the attributes the tables/figures/examples read from a trained
-    sampler (``probe_points`` overhead, SGM cluster ``labels``) without the
-    live probe closures, which cannot cross a process boundary.
-    """
-
-    def __init__(self, name, probe_points, labels=None, refresh_count=0,
-                 rebuild_count=0):
-        self.name = name
-        self.probe_points = int(probe_points)
-        self.labels = labels
-        self.refresh_count = int(refresh_count)
-        self.rebuild_count = int(rebuild_count)
-
-    def __repr__(self):
-        return (f"SamplerStats(name={self.name!r}, "
-                f"probe_points={self.probe_points})")
-
-
 @dataclass
 class MethodResult:
     """One trained suite column, in picklable form.
@@ -144,8 +120,8 @@ class MethodResult:
     history: object
     wall_seconds: float
     sampler_stats: SamplerStats
-    net_arch: dict = field(repr=False, default=None)
-    net_state: dict = field(repr=False, default=None)
+    #: the trained network itself (every registered problem's pickles)
+    net: object = field(repr=False, default=None)
     run_id: str = None
     #: the cell's exported span/metric data (``Tracer.export()`` dict) when
     #: the sweep traced; plain picklable data that survives the pool
@@ -163,22 +139,16 @@ class MethodResult:
     def probe_points(self):
         return self.sampler_stats.probe_points
 
-    def rebuild_net(self):
-        """Reconstruct the trained network from its architecture + state."""
-        from ..nn import FullyConnected
-        arch = self.net_arch
-        net = FullyConnected(arch["in_features"], arch["out_features"],
-                             width=arch["width"], depth=arch["depth"],
-                             activation=arch["activation"],
-                             dtype=np.dtype(arch["dtype"]))
-        net.load_state_dict(self.net_state)
-        return net
+    @property
+    def net_state(self):
+        """The trained network's ``state_dict``."""
+        return self.net.state_dict()
 
     def to_run_result(self, config=None):
         """Adapt to the :class:`~repro.api.RunResult` shape legacy callers
         (tables, figures, examples) consume."""
         return RunResult(label=self.label, history=self.history,
-                         net=self.rebuild_net(), sampler=self.sampler_stats,
+                         net=self.net, sampler=self.sampler_stats,
                          config=config)
 
 
@@ -209,7 +179,7 @@ class SuiteResult:
         return {m.label: m.wall_seconds for m in self.methods}
 
     def run_results(self):
-        """``{label: RunResult}`` with reconstructed trained networks."""
+        """``{label: RunResult}`` with the trained networks."""
         return {m.label: m.to_run_result(self.config) for m in self.methods}
 
     def __len__(self):
@@ -262,23 +232,11 @@ def _train_method(task):
                              compile=compile, trace=trace)
     wall = walltimer.seconds
 
-    sampler = result.sampler
-    labels = getattr(sampler, "labels", None)
-    stats = SamplerStats(
-        name=getattr(sampler, "name", type(sampler).__name__),
-        probe_points=sampler.probe_points,
-        labels=None if labels is None else np.asarray(labels).copy(),
-        refresh_count=getattr(sampler, "refresh_count", 0),
-        rebuild_count=getattr(sampler, "rebuild_count", 0))
-    arch = {"in_features": result.net.in_features,
-            "out_features": result.net.out_features,
-            "width": config.network.width, "depth": config.network.depth,
-            "activation": config.network.activation,
-            "dtype": config.network.dtype}
     return MethodResult(spec=spec, seed=seed, history=result.history,
-                        wall_seconds=wall, sampler_stats=stats,
-                        net_arch=arch, net_state=result.net.state_dict(),
-                        run_id=result.run_id, obs_data=result.obs)
+                        wall_seconds=wall,
+                        sampler_stats=SamplerStats.of(result.sampler),
+                        net=result.net, run_id=result.run_id,
+                        obs_data=result.obs)
 
 
 def run_suite(problem, methods=None, *, backend="process",
@@ -350,38 +308,12 @@ def run_suite(problem, methods=None, *, backend="process",
     >>> sorted(suite.histories())
     ['SGM32', 'U32']
     """
-    entry = problem_registry.get(problem)
-    if config is None:
-        config = entry.config_factory(scale)
-    specs = resolve_methods(config, methods)
-    seed = config.seed if seed is None else int(seed)
-    store_root = None
-    if store is not None:
-        from ..store import RunStore
-        store_root = str(RunStore.coerce(store).root)
-    exec_backend = resolve_backend(backend, max_workers=max_workers,
-                                   store=store_root,
-                                   workers_external=workers_external)
-    backend_name = exec_backend.name or type(exec_backend).__name__
-    tasks = [_make_task(entry.name, config, spec, seed, steps, validators,
-                        verbose and exec_backend.inline, store_root,
-                        checkpoint_every, compile, trace) for spec in specs]
-    labels = [f"{entry.name}:{config.scale}:{spec.label}" for spec in specs]
-
-    suite_tracer = obs.Tracer() if trace else None
-    with obs.stopwatch() as total_timer:
-        if suite_tracer is None:
-            results = exec_backend.submit(_train_method, tasks, labels,
-                                          verbose=verbose)
-        else:
-            with suite_tracer.span("suite.run", problem=entry.name,
-                                   backend=backend_name) as root:
-                results = exec_backend.submit(_train_method, tasks, labels,
-                                              verbose=verbose)
-                exec_backend.adopt_into(suite_tracer, root.span_id, labels,
-                                        results)
-    return SuiteResult(problem=entry.name, backend=backend_name,
-                       methods=results, total_seconds=total_timer.seconds,
-                       seed=seed, config=config,
-                       obs=(None if suite_tracer is None
-                            else suite_tracer.export()))
+    from .matrix import run_matrix
+    matrix = run_matrix(
+        [problem], methods, backend=backend, max_workers=max_workers,
+        workers_external=workers_external, seed=seed, steps=steps,
+        scale=scale, configs=None if config is None else {problem: config},
+        validators=validators, verbose=verbose, store=store,
+        checkpoint_every=checkpoint_every, compile=compile, trace=trace)
+    (suite,) = matrix.suites.values()
+    return replace(suite, total_seconds=matrix.total_seconds, obs=matrix.obs)

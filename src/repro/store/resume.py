@@ -29,6 +29,9 @@ def resume_run(store, run_id, steps=None, checkpoint_every=None,
         a ``completed`` run re-opens only when ``steps`` extends past its
         recorded total.  Without a checkpoint the run restarts from step 0
         (nothing was persisted to continue from, but the record is reused).
+        A data-parallel record (``dp_shards`` in its ``meta.json``) raises
+        ``ValueError``: it has no checkpoints, and the serial trainer would
+        not continue its trajectory.
     steps:
         Optional new total step count (e.g. extend a finished run);
         defaults to the step count recorded at launch.
@@ -53,6 +56,12 @@ def resume_run(store, run_id, steps=None, checkpoint_every=None,
     store = RunStore.coerce(store)
     record = store.open(run_id)
     meta = record.meta
+    if meta.get("dp_shards") is not None:
+        raise ValueError(
+            f"run {run_id!r} trained data-parallel over "
+            f"{meta['dp_shards']} shards, which writes no checkpoints; "
+            f"resuming it would continue a different (serial) trajectory. "
+            f"Data-parallel resume is ROADMAP item 6; re-run instead")
     if meta.get("validators") == "custom":
         raise ValueError(
             f"run {run_id!r} trained with caller-supplied validators, which "

@@ -268,7 +268,9 @@ class RunRecorder:
         self.store = store
         self.path = Path(path)
         self.meta = meta
-        self.checkpoint_every = max(1, int(checkpoint_every))
+        #: ``None`` for records that never checkpoint (data-parallel runs)
+        self.checkpoint_every = (None if checkpoint_every is None
+                                 else max(1, int(checkpoint_every)))
 
     @property
     def run_id(self):
@@ -332,8 +334,9 @@ class RunRecorder:
         return load_training_checkpoint(latest[1], trainer)
 
     # -- lifecycle ------------------------------------------------------
-    def finish(self, history, sampler):
-        """Mark completed and persist summary statistics + sampler stats."""
+    def finish(self, history, stats):
+        """Mark completed and persist summary statistics plus the run's
+        :class:`~repro.api.types.SamplerStats`."""
         self.meta["status"] = "completed"
         if history.steps:
             self.meta["last_step"] = int(history.steps[-1])
@@ -343,20 +346,19 @@ class RunRecorder:
                 var: history.min_error(var) for var in sorted(history.errors)
                 if np.isfinite(history.min_error(var))}
         self._write_meta()
-        labels = getattr(sampler, "labels", None)
-        stats = {
-            "name": getattr(sampler, "name", type(sampler).__name__),
-            "probe_points": int(getattr(sampler, "probe_points", 0)),
-            "refresh_count": int(getattr(sampler, "refresh_count", 0)),
-            "rebuild_count": int(getattr(sampler, "rebuild_count", 0)),
-            "n_clusters": (None if labels is None
-                           else int(len(np.unique(np.asarray(labels))))),
+        record = {
+            "name": stats.name,
+            "probe_points": stats.probe_points,
+            "refresh_count": stats.refresh_count,
+            "rebuild_count": stats.rebuild_count,
+            "n_clusters": (None if stats.labels is None
+                           else int(len(np.unique(stats.labels)))),
         }
         _atomic_write(self.path / "sampler.json",
-                      json.dumps(stats, indent=2) + "\n")
+                      json.dumps(record, indent=2) + "\n")
 
     def mark_stopped(self, exc):
-        """Record why training ended early (resume stays possible)."""
+        """Record why training ended early (a serial run can resume)."""
         self.meta["status"] = ("interrupted"
                                if isinstance(exc, KeyboardInterrupt)
                                else "failed")
@@ -418,16 +420,26 @@ class RunStore:
 
     def begin_run(self, *, problem, config, sampler, seed, steps, label,
                   n_interior, batch_size, validators="default", run_id=None,
-                  checkpoint_every=None):
-        """Create a run directory and return its :class:`RunRecorder`."""
+                  checkpoint_every=None, dp_shards=None, world_size=1):
+        """Create a run directory and return its :class:`RunRecorder`.
+
+        ``dp_shards`` is a data-parallel run's logical shard count
+        (``None`` for serial runs).  Data-parallel records write no
+        checkpoints, so their ``checkpoint_every`` is recorded as ``None``.
+        """
         run_id = run_id or self._new_run_id(problem, sampler)
         path = self.root / run_id
         if path.exists():
             raise FileExistsError(f"run {run_id!r} already exists in "
                                   f"{self.root}")
         (path / "checkpoints").mkdir(parents=True)
-        if checkpoint_every is None:
-            checkpoint_every = max(config.record_every, config.validate_every)
+        if dp_shards is not None:
+            checkpoint_every = None
+        elif checkpoint_every is None:
+            checkpoint_every = int(max(config.record_every,
+                                       config.validate_every))
+        else:
+            checkpoint_every = int(checkpoint_every)
         meta = {
             "run_id": run_id,
             "problem": problem,
@@ -439,7 +451,9 @@ class RunStore:
             "n_interior": int(n_interior),
             "batch_size": int(batch_size),
             "validators": validators,
-            "checkpoint_every": int(checkpoint_every),
+            "checkpoint_every": checkpoint_every,
+            "dp_shards": None if dp_shards is None else int(dp_shards),
+            "world_size": int(world_size),
             "status": "running",
             "created_at": time.time(),
             **_environment_meta(),

@@ -65,16 +65,13 @@ class Trainer:
         Iterable of :class:`PointwiseValidator`; their per-variable errors
         are averaged across validators, matching the paper's
         'averaged at r_i = 1.0, 0.88, 0.75'.
-    extra_parameters:
-        Extra trainable tensors (e.g. a raw coefficient parameter) trained
-        jointly with the network; the optimizer must have been constructed
-        over ``net.parameters() + extra_parameters`` in the same order.
     extra_modules:
-        Mapping name -> :class:`repro.nn.Module` of the extra trainable
-        pieces as *modules* (inverse-problem coefficients).  When given and
-        ``extra_parameters`` is not, the parameter list is derived from the
-        modules; checkpoints persist each module's ``state_dict`` under its
-        name so resumed inverse runs restore the coefficient exactly.
+        Mapping name -> :class:`repro.nn.Module` of extra trainable pieces
+        (inverse-problem coefficients) trained jointly with the network;
+        the optimizer must have been constructed over ``net.parameters()``
+        followed by the modules' parameters, in mapping order.  Checkpoints
+        persist each module's ``state_dict`` under its name so resumed
+        inverse runs restore the coefficient exactly.
     dp:
         A :class:`repro.dp.DataParallelContext` hosting ``S`` logical
         shards of the run.  Every owned shard's ``1/S``-scaled
@@ -87,8 +84,8 @@ class Trainer:
     """
 
     def __init__(self, net, constraints, optimizer, scheduler=None,
-                 samplers=None, validators=(), extra_parameters=(),
-                 extra_modules=None, seed=0, dp=None):
+                 samplers=None, validators=(), extra_modules=None, seed=0,
+                 dp=None):
         self.net = net
         self.constraints = list(constraints)
         if not self.constraints:
@@ -97,11 +94,9 @@ class Trainer:
         self.scheduler = scheduler
         self.validators = list(validators)
         self.extra_modules = dict(extra_modules or {})
-        extra = list(extra_parameters)
-        if not extra and self.extra_modules:
-            extra = [param for module in self.extra_modules.values()
-                     for param in module.parameters()]
-        self.params = net.parameters() + extra
+        self.params = net.parameters() + [
+            param for module in self.extra_modules.values()
+            for param in module.parameters()]
 
         self.dp = dp
         if dp is None:

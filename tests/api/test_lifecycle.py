@@ -80,3 +80,33 @@ def test_serial_dp_and_suite_records_share_their_key_sets(tmp_path):
     sampler_keys = [set(record.sampler_stats()) for record in records]
     assert sampler_keys[0] and sampler_keys[0] == sampler_keys[1] \
         == sampler_keys[2]
+
+
+def test_dp_record_carries_its_layout_and_never_checkpoints(tmp_path,
+                                                            capsys):
+    from repro.cli import main
+    result = _session().train(steps=STEPS, store=tmp_path, world_size=1,
+                              dp_shards=2)
+    meta = RunStore(tmp_path).open(result.run_id).meta
+    assert meta["dp_shards"] == 2 and meta["world_size"] == 1
+    assert meta["checkpoint_every"] is None
+    assert main(["runs", "--store", str(tmp_path), "show",
+                 result.run_id]) == 0
+    shown = dict(line.split(None, 1) for line in
+                 capsys.readouterr().out.splitlines() if " " in line)
+    assert shown["dp_shards"] == "2" and shown["world_size"] == "1"
+    serial = _session().train(steps=STEPS, store=tmp_path)
+    meta = RunStore(tmp_path).open(serial.run_id).meta
+    assert meta["dp_shards"] is None and meta["world_size"] == 1
+    assert meta["checkpoint_every"] >= 1
+
+
+def test_resume_refuses_a_dp_record(monkeypatch, tmp_path):
+    from repro.store import resume_run
+    record = _failed_dp_record(monkeypatch, tmp_path)
+    with pytest.raises(ValueError, match=r"'dp-failed'.*ROADMAP item 6"):
+        resume_run(tmp_path, "dp-failed")
+    # the failed record is left exactly as the dp run left it
+    record = RunStore(tmp_path).open("dp-failed")
+    assert record.status == "failed"
+    assert record.history().steps == [0]

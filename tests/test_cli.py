@@ -144,8 +144,6 @@ def test_parser_commands():
     parser = build_parser()
     args = parser.parse_args(["table1", "--scale", "smoke"])
     assert args.command == "table1" and args.scale == "smoke"
-    args = parser.parse_args(["ldc", "--method", "mis"])
-    assert args.method == "mis"
     args = parser.parse_args(["solve-ar", "--radius", "0.8"])
     assert args.radius == 0.8
 
@@ -443,7 +441,7 @@ class TestRunsPlot:
 
 
 def test_train_smoke_ldc(capsys):
-    assert main(["ldc", "--method", "uniform", "--scale", "smoke",
+    assert main(["run", "ldc", "--sampler", "uniform", "--scale", "smoke",
                  "--steps", "8"]) == 0
     out = capsys.readouterr().out
     assert "min err(u)" in out

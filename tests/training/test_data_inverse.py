@@ -78,7 +78,7 @@ class TestInverseTraining:
         params = net.parameters() + [coeff.raw]
         trainer = Trainer(net, [interior, sensors],
                           Adam(params, lr=5e-3),
-                          extra_parameters=[coeff.raw], seed=0)
+                          extra_modules={"nu": coeff}, seed=0)
         trainer.train(700, validate_every=10_000, record_every=200)
 
         assert np.isclose(coeff.value(), true_nu, rtol=0.25), \
