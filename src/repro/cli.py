@@ -71,7 +71,7 @@ def _cmd_info(args):
         ("geometry", "2-D/3-D CSG with SDF sampling"),
         ("pde", "NS 2D/3D, zero-eq turbulence, Poisson 2D/3D, Burgers, "
                 "trainable coefficients"),
-        ("graph", "kNN/HNSW, effective resistance, LRD decomposition"),
+        ("graph", "exact kNN PGM, effective resistance, LRD decomposition"),
         ("stability", "SPADE/ISR scores"),
         ("sampling", "SGM sampler + uniform/MIS/RAR baselines"),
         ("solvers", "reference CFD (LDC, annular ring), Ghia tables"),
@@ -205,8 +205,17 @@ def _cmd_run(args):
             if args.trace:
                 session.trace()
             if args.world_size is not None:
+                # data-parallel runs write no checkpoints: an explicit
+                # --checkpoint-every is refused by Session.train, the
+                # experiment file's default is dropped with a note
+                if (args.checkpoint_every is None
+                        and checkpoint_every is not None):
+                    print(f"note: ignoring [store] checkpoint_every = "
+                          f"{checkpoint_every}; data-parallel runs write "
+                          f"no checkpoints")
                 result = session.train(
                     steps=steps, store=store,
+                    checkpoint_every=args.checkpoint_every,
                     world_size=args.world_size, dp_shards=args.dp_shards,
                     backend=args.backend or "process")
             else:

@@ -1,26 +1,22 @@
 """PGM construction and spectral clustering substrates (paper S1 + S2)."""
 
 from .knn import knn_search, knn_graph_edges
-from .hnsw import HNSWIndex
 from .laplacian import (
-    adjacency_from_edges, knn_adjacency, laplacian, largest_component,
-    degree_vector,
+    adjacency_from_edges, knn_adjacency, laplacian, degree_vector,
 )
 from .resistance import (
-    exact_effective_resistance, approx_edge_resistance,
-    spectral_embedding_resistance, resistance_embedding,
+    exact_effective_resistance, approx_edge_resistance, resistance_embedding,
 )
 from .lrd import LRDResult, lrd_decompose, cluster_sizes
-from .partition import assign_clusters, grid_partition, parallel_lrd
+from .partition import assign_clusters
 from .conductance import cut_fraction, cluster_conductance, partition_summary
 
 __all__ = [
     "cut_fraction", "cluster_conductance", "partition_summary",
-    "knn_search", "knn_graph_edges", "HNSWIndex",
-    "adjacency_from_edges", "knn_adjacency", "laplacian",
-    "largest_component", "degree_vector",
+    "knn_search", "knn_graph_edges",
+    "adjacency_from_edges", "knn_adjacency", "laplacian", "degree_vector",
     "exact_effective_resistance", "approx_edge_resistance",
-    "spectral_embedding_resistance", "resistance_embedding",
+    "resistance_embedding",
     "LRDResult", "lrd_decompose", "cluster_sizes",
-    "assign_clusters", "grid_partition", "parallel_lrd",
+    "assign_clusters",
 ]

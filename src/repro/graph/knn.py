@@ -1,9 +1,7 @@
 """k-nearest-neighbour graph construction (paper step S1).
 
-The default backend is an exact KD-tree (scipy); a pure-python HNSW backend
-(:mod:`repro.graph.hnsw`) mirrors the approximate O(N log N) algorithm the
-paper cites [Malkov & Yashunin 2018] and is validated against the exact
-result in the test suite.
+The search is an exact KD-tree query (scipy), so S1 builds the exact kNN
+PGM that the paper's HNSW index [Malkov & Yashunin 2018] approximates.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from scipy.spatial import cKDTree
 __all__ = ["knn_search", "knn_graph_edges"]
 
 
-def knn_search(points, k, backend="kdtree", rng=None, **hnsw_kwargs):
+def knn_search(points, k):
     """Find the ``k`` nearest neighbours of every point.
 
     Parameters
@@ -23,11 +21,6 @@ def knn_search(points, k, backend="kdtree", rng=None, **hnsw_kwargs):
         ``(n, d)`` array.
     k:
         Number of neighbours (excluding the point itself).
-    backend:
-        ``"kdtree"`` (exact, default), ``"hnsw"`` (approximate, pure python),
-        or ``"brute"`` (exact, O(n^2), for tests).
-    rng:
-        Generator for the HNSW level draws.
 
     Returns
     -------
@@ -38,22 +31,9 @@ def knn_search(points, k, backend="kdtree", rng=None, **hnsw_kwargs):
     n = len(points)
     if k < 1 or k >= n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if backend == "kdtree":
-        tree = cKDTree(points)
-        distances, indices = tree.query(points, k=k + 1)
-        return indices[:, 1:], distances[:, 1:]
-    if backend == "brute":
-        deltas = points[:, None, :] - points[None, :, :]
-        dist = np.linalg.norm(deltas, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        indices = np.argsort(dist, axis=1)[:, :k]
-        return indices, np.take_along_axis(dist, indices, axis=1)
-    if backend == "hnsw":
-        from .hnsw import HNSWIndex
-        index = HNSWIndex(dim=points.shape[1], rng=rng, **hnsw_kwargs)
-        index.build(points)
-        return index.knn(points, k, exclude_self=True)
-    raise ValueError(f"unknown backend {backend!r}")
+    tree = cKDTree(points)
+    distances, indices = tree.query(points, k=k + 1)
+    return indices[:, 1:], distances[:, 1:]
 
 
 def knn_graph_edges(indices, distances):

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
-    "adjacency_from_edges", "knn_adjacency", "laplacian",
-    "largest_component", "degree_vector",
+    "adjacency_from_edges", "knn_adjacency", "laplacian", "degree_vector",
 ]
 
 
@@ -30,9 +28,11 @@ def adjacency_from_edges(n, edges, weights):
     return adj
 
 
-def knn_adjacency(points, k, backend="kdtree", weighting="inverse", sigma=None,
-                  rng=None):
+def knn_adjacency(points, k):
     """Build the kNN PGM adjacency of a point cloud.
+
+    Edge weights are ``w = 1/(d + eps)``: dependence inversely proportional
+    to distance (§3.2).
 
     Parameters
     ----------
@@ -41,26 +41,12 @@ def knn_adjacency(points, k, backend="kdtree", weighting="inverse", sigma=None,
         coordinates; output features can be appended by the caller).
     k:
         Neighbours per node.
-    weighting:
-        ``"inverse"`` — w = 1/(d + eps) (dependence inversely proportional to
-        distance, §3.2); ``"gaussian"`` — w = exp(-d² / 2σ²);
-        ``"unit"`` — all ones.
-    sigma:
-        Gaussian bandwidth (defaults to the mean kNN distance).
     """
     from .knn import knn_graph_edges, knn_search
-    indices, distances = knn_search(points, k, backend=backend, rng=rng)
+    indices, distances = knn_search(points, k)
     edges, lengths = knn_graph_edges(indices, distances)
-    if weighting == "inverse":
-        eps = max(float(lengths.mean()) * 1e-3, 1e-12)
-        weights = 1.0 / (lengths + eps)
-    elif weighting == "gaussian":
-        bandwidth = float(sigma) if sigma is not None else float(lengths.mean())
-        weights = np.exp(-0.5 * (lengths / bandwidth) ** 2)
-    elif weighting == "unit":
-        weights = np.ones(len(lengths))
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+    eps = max(float(lengths.mean()) * 1e-3, 1e-12)
+    weights = 1.0 / (lengths + eps)
     return adjacency_from_edges(len(points), edges, weights)
 
 
@@ -73,13 +59,3 @@ def laplacian(adjacency):
     """Combinatorial Laplacian ``L = D - W`` (CSR)."""
     deg = degree_vector(adjacency)
     return sp.diags(deg) - adjacency
-
-
-def largest_component(adjacency):
-    """Indices of the largest connected component (PGMs from kNN graphs are
-    usually connected, but rejection-sampled clouds can have stragglers)."""
-    count, labels = connected_components(adjacency, directed=False)
-    if count == 1:
-        return np.arange(adjacency.shape[0])
-    sizes = np.bincount(labels)
-    return np.flatnonzero(labels == np.argmax(sizes))

@@ -1,6 +1,6 @@
 """Effective-resistance computation and estimation (paper §3.3, Def. 3.1).
 
-Three estimators with a common interface:
+Two computations with a common interface:
 
 * :func:`exact_effective_resistance` — dense pseudo-inverse, O(n^3); ground
   truth for tests and small graphs.
@@ -8,10 +8,8 @@ Three estimators with a common interface:
   Lindenstrauss sketch: ``R(u,v) ≈ ||Z e_uv||²`` where the rows of ``Z`` are
   Laplacian solves against random signed edge combinations.  Near-linear
   when the grounded Laplacian factorizes sparsely (kNN graphs do).  This
-  plays the role of the paper's linear-time Krylov-subspace estimator [1].
-* :func:`spectral_embedding_resistance` — truncated eigen expansion of
-  Def. 3.1 (the first ``r`` non-trivial eigenpairs), the HyperEF-flavoured
-  low-pass approximation; a lower bound that preserves edge ordering well.
+  plays the role of the paper's linear-time Krylov-subspace estimator [1]
+  and is the one LRD uses.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .laplacian import laplacian
 __all__ = [
     "exact_effective_resistance",
     "approx_edge_resistance",
-    "spectral_embedding_resistance",
     "resistance_embedding",
 ]
 
@@ -128,28 +125,3 @@ def approx_edge_resistance(adjacency, pairs=None, num_vectors=24, seed=0,
                              solver=solver)
     diff = z[:, pairs[:, 0]] - z[:, pairs[:, 1]]
     return np.sum(diff * diff, axis=0)
-
-
-def spectral_embedding_resistance(adjacency, pairs=None, rank=16, seed=0):
-    """Truncated eigen-expansion of Def. 3.1 using the ``rank`` smallest
-    non-trivial Laplacian eigenpairs (low-pass / HyperEF-style estimate)."""
-    if pairs is None:
-        coo = sp.triu(adjacency, k=1).tocoo()
-        pairs = np.stack([coo.row, coo.col], axis=1)
-    pairs = _pair_array(pairs)
-    n = adjacency.shape[0]
-    lap = laplacian(adjacency).tocsc()
-    rank = min(rank, n - 1)
-    if n <= 400 or rank + 1 >= n - 1:
-        # dense path: accurate across the whole spectrum
-        vals, vecs = np.linalg.eigh(lap.toarray())
-    else:
-        # shift-invert around 0 finds the smallest eigenpairs quickly
-        rank = min(rank, n - 2)  # ARPACK needs k < n
-        vals, vecs = spla.eigsh(lap + 1e-10 * sp.eye(n), k=rank + 1, sigma=0,
-                                which="LM")
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    vals, vecs = vals[1:rank + 1], vecs[:, 1:rank + 1]  # drop constant vector
-    diff = vecs[pairs[:, 0], :] - vecs[pairs[:, 1], :]
-    return np.sum(diff * diff / vals[None, :], axis=1)

@@ -34,8 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..graph import (assign_clusters, knn_adjacency, lrd_decompose,
-                     parallel_lrd)
+from ..graph import assign_clusters, knn_adjacency, lrd_decompose
 from ..stability import spade_scores
 from .base import Sampler, _scalar
 
@@ -51,15 +50,14 @@ def _minmax(values):
     return (values - lo) / (hi - lo)
 
 
-def knn_lrd_labels(features, *, k, level, num_vectors, knn_backend, seed,
-                   adjacency=None):
+def knn_lrd_labels(features, *, k, level, num_vectors, seed, adjacency=None):
     """S1 + S2: cluster labels of a kNN PGM's LRD decomposition.
 
     Returns ``(labels, adjacency)``.  A given ``adjacency`` (the kNN PGM of
     the same ``features``) skips S1."""
     if adjacency is None:
         with obs.span("sampler.knn_build"):
-            adjacency = knn_adjacency(features, k, backend=knn_backend)
+            adjacency = knn_adjacency(features, k)
     with obs.span("sampler.cluster_update"):
         labels = lrd_decompose(adjacency, level=level,
                                num_vectors=num_vectors, seed=seed).labels
@@ -88,7 +86,7 @@ class ClusterPlan:
     _STREAM = 104729
 
     def __init__(self, features, n_shards=1, *, k, level, num_vectors=16,
-                 knn_backend="kdtree", cells_per_dim=1, seed=0):
+                 seed=0):
         """
         Parameters
         ----------
@@ -103,10 +101,6 @@ class ClusterPlan:
             LRD coarsening level ``L`` (paper: 10 for LDC, 6 for AR).
         num_vectors:
             Sketch depth for the effective-resistance estimator.
-        knn_backend:
-            Neighbour search backend for the PGM (``repro.graph.knn``).
-        cells_per_dim:
-            Grid partitioning for the (re)build, §3.3 (1 = no partitioning).
         seed:
             Root of every rebuild's LRD seed.
         """
@@ -115,8 +109,6 @@ class ClusterPlan:
         self.k = int(k)
         self.level = int(level)
         self.num_vectors = int(num_vectors)
-        self.knn_backend = knn_backend
-        self.cells_per_dim = int(cells_per_dim)
         self.seed = int(seed)
         self._latest = None
         self._adjacency = None
@@ -137,22 +129,12 @@ class ClusterPlan:
         seed = int(np.random.default_rng(np.random.SeedSequence(
             [self.seed, self._STREAM, rebuild_index])).integers(2 ** 31))
         with obs.timed_span("sampler.rebuild") as rebuild_timer:
-            if self.cells_per_dim > 1:
-                # the partitioned path fuses kNN + LRD per grid cell, so a
-                # single cluster-update span covers both stages
-                with obs.span("sampler.cluster_update"):
-                    labels, _ = parallel_lrd(
-                        features, k=self.k, level=self.level,
-                        cells_per_dim=self.cells_per_dim,
-                        num_vectors=self.num_vectors, seed=seed)
-            else:
-                labels, adjacency = knn_lrd_labels(
-                    features, k=self.k, level=self.level,
-                    num_vectors=self.num_vectors,
-                    knn_backend=self.knn_backend, seed=seed,
-                    adjacency=self._adjacency if own_features else None)
-                if own_features:
-                    self._adjacency = adjacency
+            labels, adjacency = knn_lrd_labels(
+                features, k=self.k, level=self.level,
+                num_vectors=self.num_vectors, seed=seed,
+                adjacency=self._adjacency if own_features else None)
+            if own_features:
+                self._adjacency = adjacency
         self._latest = (rebuild_index, labels)
         obs.inc("sampler.rebuild_count")
         obs.inc("sampler.rebuild_seconds", rebuild_timer.seconds)
@@ -334,8 +316,7 @@ class SGMSampler(Sampler):
         if k_eff < 2:
             return np.zeros(len(offsets) - 1)
         result = spade_scores(self.plan.features[flat], outputs, k=k_eff,
-                              rank=min(self.isr_rank, k_eff),
-                              backend="kdtree")
+                              rank=min(self.isr_rank, k_eff))
         per_cluster = np.array([
             result.node_scores[offsets[i]:offsets[i + 1]].mean()
             for i in range(len(offsets) - 1)])

@@ -75,8 +75,7 @@ def _generalized_eigs(l_x, l_y, rank, regularization):
     return vals[order], vecs[:, order]
 
 
-def spade_scores(inputs, outputs, k=10, rank=8, regularization=1e-6,
-                 backend="kdtree", input_adjacency=None):
+def spade_scores(inputs, outputs, k=10, rank=8, regularization=1e-6):
     """Compute SPADE/ISR node and edge scores.
 
     Parameters
@@ -92,11 +91,6 @@ def spade_scores(inputs, outputs, k=10, rank=8, regularization=1e-6,
         Number of dominant eigenpairs ``r`` used in the edge scores.
     regularization:
         Diagonal shift making ``L_Y`` positive definite.
-    backend:
-        kNN backend (see :func:`repro.graph.knn_search`).
-    input_adjacency:
-        Optional precomputed input-graph adjacency (skips one kNN build when
-        the caller already has the PGM of S1).
 
     Returns
     -------
@@ -112,9 +106,8 @@ def spade_scores(inputs, outputs, k=10, rank=8, regularization=1e-6,
         raise ValueError(f"need more than k+1={k + 1} samples, "
                          f"got {len(inputs)}")
 
-    adj_x = (input_adjacency if input_adjacency is not None
-             else knn_adjacency(inputs, k, backend=backend))
-    adj_y = knn_adjacency(outputs, k, backend=backend)
+    adj_x = knn_adjacency(inputs, k)
+    adj_y = knn_adjacency(outputs, k)
     l_x = laplacian(adj_x)
     l_y = laplacian(adj_y)
 

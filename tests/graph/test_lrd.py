@@ -6,12 +6,8 @@ import scipy.sparse as sp
 
 from repro.graph import (
     LRDResult, adjacency_from_edges, cluster_sizes,
-    exact_effective_resistance, grid_partition, knn_adjacency,
-    lrd_decompose, parallel_lrd,
+    exact_effective_resistance, knn_adjacency, lrd_decompose,
 )
-from repro.graph import lrd as lrd_module
-
-RNG = np.random.default_rng(0)
 
 
 def cloud_adjacency(n=200, k=6, seed=0):
@@ -128,23 +124,6 @@ class TestContractionOracle:
     def test_empty_edge_set(self):
         assert_matches_oracle(sp.csr_matrix((6, 6)), level=2)
 
-    def test_parallel_lrd(self, monkeypatch):
-        points = np.random.default_rng(8).uniform(size=(600, 2))
-        labels, count = parallel_lrd(points, k=5, level=3, cells_per_dim=2,
-                                     seed=4)
-
-        def oracle_decompose(adjacency, **kwargs):
-            result = lrd_decompose(adjacency, **kwargs)
-            return oracle_contract(adjacency.shape[0], result.edges,
-                                   result.edge_resistance, kwargs["level"])
-
-        # the per-cell worker looks ``lrd_decompose`` up on its module
-        monkeypatch.setattr(lrd_module, "lrd_decompose", oracle_decompose)
-        oracle_labels, oracle_count = parallel_lrd(
-            points, k=5, level=3, cells_per_dim=2, seed=4)
-        assert np.array_equal(labels, oracle_labels)
-        assert count == oracle_count
-
 
 class TestDecomposition:
     def test_labels_form_exact_partition(self):
@@ -222,53 +201,3 @@ class TestDecomposition:
         a = lrd_decompose(adj, level=4, seed=7)
         b = lrd_decompose(adj, level=4, seed=7)
         assert np.array_equal(a.labels, b.labels)
-
-
-class TestGridPartition:
-    def test_partition_covers_all_points(self):
-        points = RNG.uniform(size=(500, 2))
-        cells = grid_partition(points, 3)
-        joined = np.concatenate(cells)
-        assert len(joined) == 500
-        assert len(np.unique(joined)) == 500
-
-    def test_single_cell(self):
-        points = RNG.uniform(size=(50, 2))
-        cells = grid_partition(points, 1)
-        assert len(cells) == 1 and len(cells[0]) == 50
-
-    def test_cells_respect_spatial_bounds(self):
-        points = RNG.uniform(size=(400, 2))
-        cells = grid_partition(points, 2)
-        for idx in cells:
-            cell_points = points[idx]
-            span = cell_points.max(axis=0) - cell_points.min(axis=0)
-            assert np.all(span <= 0.5 + 1e-9)
-
-    def test_invalid_cells_per_dim(self):
-        import pytest
-        with pytest.raises(ValueError):
-            grid_partition(RNG.uniform(size=(10, 2)), 0)
-
-
-class TestParallelLRD:
-    def test_labels_unique_across_cells(self):
-        points = RNG.uniform(size=(400, 2))
-        labels, count = parallel_lrd(points, k=5, level=3, cells_per_dim=2)
-        assert labels.shape == (400,)
-        assert labels.max() == count - 1
-        # each cell's labels are disjoint, so every point got assigned
-        assert len(np.unique(labels)) == count
-
-    def test_single_cell_matches_direct(self):
-        points = np.random.default_rng(9).uniform(size=(150, 2))
-        labels, count = parallel_lrd(points, k=5, level=3, cells_per_dim=1,
-                                     seed=0)
-        adj = knn_adjacency(points, 5)
-        direct = lrd_decompose(adj, level=3, seed=0)
-        assert count == direct.n_clusters
-        # same partition up to relabelling
-        mapping = {}
-        for a, b in zip(labels, direct.labels):
-            mapping.setdefault(a, b)
-            assert mapping[a] == b

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph import (
     adjacency_from_edges, approx_edge_resistance, exact_effective_resistance,
-    knn_adjacency, resistance_embedding, spectral_embedding_resistance,
+    knn_adjacency, resistance_embedding,
 )
 
 RNG = np.random.default_rng(0)
@@ -114,25 +114,3 @@ class TestApprox:
         adj = path_graph(5)
         with pytest.raises(ValueError):
             exact_effective_resistance(adj, np.zeros((3, 3)))
-
-
-class TestSpectral:
-    def test_full_rank_matches_exact(self):
-        points = RNG.uniform(size=(40, 2))
-        adj = knn_adjacency(points, 5)
-        import scipy.sparse as sp
-        coo = sp.triu(adj, k=1).tocoo()
-        pairs = np.stack([coo.row, coo.col], axis=1)
-        exact = exact_effective_resistance(adj, pairs)
-        spectral = spectral_embedding_resistance(adj, pairs, rank=39)
-        assert np.allclose(spectral, exact, rtol=5e-3, atol=1e-6)
-
-    def test_truncation_is_lower_bound(self):
-        points = RNG.uniform(size=(60, 2))
-        adj = knn_adjacency(points, 5)
-        import scipy.sparse as sp
-        coo = sp.triu(adj, k=1).tocoo()
-        pairs = np.stack([coo.row, coo.col], axis=1)
-        exact = exact_effective_resistance(adj, pairs)
-        truncated = spectral_embedding_resistance(adj, pairs, rank=8)
-        assert np.all(truncated <= exact + 1e-9)

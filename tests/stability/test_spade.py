@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graph import knn_adjacency
 from repro.stability import spade_scores
 
 RNG = np.random.default_rng(0)
@@ -51,16 +50,6 @@ def test_eigenvalues_sorted_descending():
     result = spade_scores(x, y, k=6, rank=5)
     assert np.all(np.diff(result.eigenvalues) <= 1e-9)
     assert np.isclose(result.isr, result.eigenvalues[0])
-
-
-def test_precomputed_input_adjacency_matches():
-    x = RNG.uniform(size=(150, 2))
-    y = np.sin(2.0 * x)
-    adj = knn_adjacency(x, 8)
-    a = spade_scores(x, y, k=8, rank=4)
-    b = spade_scores(x, y, k=8, rank=4, input_adjacency=adj)
-    assert np.allclose(a.node_scores, b.node_scores)
-    assert np.isclose(a.isr, b.isr)
 
 
 def test_unstable_direction_scores_higher_than_stable():

@@ -264,6 +264,27 @@ class TestRunConfigAndStore:
                      "show", "ghost"]) == 2
         assert "unknown run" in capsys.readouterr().out
 
+    def test_world_size_refuses_checkpoint_every_flag(self, tmp_path,
+                                                      capsys):
+        assert main(["run", "burgers", "--world-size", "1",
+                     "--checkpoint-every", "5", "--steps", "4",
+                     "--n-interior", "300",
+                     "--store", str(tmp_path / "runs")]) == 2
+        out = capsys.readouterr().out
+        assert "error:" in out and "checkpoint" in out
+
+    def test_world_size_drops_config_checkpoint_every(self, tmp_path,
+                                                      capsys):
+        from repro.store import RunStore
+        config = self._write_config(tmp_path, tmp_path / "runs")
+        assert main(["run", "--config", str(config),
+                     "--world-size", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "note: ignoring [store] checkpoint_every = 4" in out
+        assert "recorded as" in out
+        (record,) = RunStore(str(tmp_path / "runs")).runs()
+        assert record.status == "completed"
+
     def test_resume_rejects_wiring_flags(self, tmp_path, capsys):
         assert main(["run", "--resume", "r1",
                      "--store", str(tmp_path / "runs"),
