@@ -67,13 +67,13 @@ def _cmd_info(args):
     subsystems = [
         ("api", "Problem/Session API + problem & sampler registries"),
         ("autodiff", "higher-order reverse-mode AD"),
-        ("nn", "MLPs, optimizers (Adam/L-BFGS), schedules"),
+        ("nn", "MLPs, optimizers (Adam/SGD), schedules"),
         ("geometry", "2-D/3-D CSG with SDF sampling"),
         ("pde", "NS 2D/3D, zero-eq turbulence, Poisson 2D/3D, Burgers, "
                 "trainable coefficients"),
         ("graph", "exact kNN PGM, effective resistance, LRD decomposition"),
         ("stability", "SPADE/ISR scores"),
-        ("sampling", "SGM sampler + uniform/MIS/RAR baselines"),
+        ("sampling", "SGM sampler + uniform/MIS baselines"),
         ("solvers", "reference CFD (LDC, annular ring), Ghia tables"),
         ("training", "constraints, trainer, validators"),
         ("experiments", "Table 1/2 + Figures 2-4 harness, suites + "

@@ -7,7 +7,7 @@ import numpy as np
 from .base import Geometry
 from .pointcloud import PointCloud
 
-__all__ = ["Rectangle", "Channel2D", "Circle", "Annulus", "Line2D"]
+__all__ = ["Rectangle", "Channel2D", "Circle", "Line2D"]
 
 
 class Rectangle(Geometry):
@@ -133,49 +133,6 @@ class Circle(Geometry):
         coords = self.center + self.radius * normals
         weights = np.full((n, 1), self.boundary_length / n)
         return PointCloud(coords=coords, normals=normals, weights=weights)
-
-
-class Annulus(Geometry):
-    """Ring between two concentric circles (outer minus inner)."""
-
-    def __init__(self, center, inner_radius, outer_radius):
-        if not 0 < inner_radius < outer_radius:
-            raise ValueError("need 0 < inner_radius < outer_radius")
-        self.center = np.asarray(center, dtype=np.float64)
-        self.inner = Circle(center, inner_radius)
-        self.outer = Circle(center, outer_radius)
-
-    @property
-    def bounds(self):
-        return self.outer.bounds
-
-    @property
-    def area(self):
-        """Exact area."""
-        return self.outer.area - self.inner.area
-
-    @property
-    def boundary_length(self):
-        """Exact total perimeter (both circles)."""
-        return self.outer.boundary_length + self.inner.boundary_length
-
-    def sdf(self, points):
-        return np.minimum(self.outer.sdf(points), -self.inner.sdf(points))
-
-    def sample_boundary(self, n, rng=None):
-        rng = rng if rng is not None else np.random.default_rng()
-        frac_outer = self.outer.boundary_length / self.boundary_length
-        n_outer = int(round(n * frac_outer))
-        clouds = []
-        if n_outer:
-            clouds.append(self.outer.sample_boundary(n_outer, rng))
-        if n - n_outer:
-            inner = self.inner.sample_boundary(n - n_outer, rng)
-            inner.normals = -inner.normals  # outward from the ring
-            clouds.append(inner)
-        cloud = PointCloud.concatenate(clouds)
-        cloud.weights = np.full((len(cloud), 1), self.boundary_length / n)
-        return cloud
 
 
 class Line2D(Geometry):

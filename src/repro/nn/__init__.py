@@ -1,19 +1,15 @@
 """Neural-network building blocks: modules, layers, optimizers, schedules."""
 
 from .module import Module, Parameter
-from .layers import (
-    Linear, Activation, ActivationRule, FourierEncoding, Identity, ACTIVATIONS,
-)
+from .layers import Linear, ActivationRule, ACTIVATIONS
 from .mlp import FullyConnected, Jet
-from .optim import Optimizer, SGD, Adam, LBFGS, clip_grad_norm
-from .schedulers import ConstantLR, ExponentialDecayLR
-from .init import xavier_uniform, he_normal
+from .optim import Optimizer, SGD, Adam
+from .schedulers import ExponentialDecayLR
+from .init import xavier_uniform
 
 __all__ = [
     "Module", "Parameter",
-    "Linear", "Activation", "ActivationRule", "FourierEncoding", "Identity",
-    "ACTIVATIONS", "FullyConnected", "Jet",
-    "Optimizer", "SGD", "Adam", "LBFGS", "clip_grad_norm",
-    "ConstantLR", "ExponentialDecayLR",
-    "xavier_uniform", "he_normal",
+    "Linear", "ActivationRule", "ACTIVATIONS", "FullyConnected", "Jet",
+    "Optimizer", "SGD", "Adam", "ExponentialDecayLR",
+    "xavier_uniform",
 ]

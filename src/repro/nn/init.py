@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "he_normal"]
+__all__ = ["xavier_uniform"]
 
 
 def xavier_uniform(rng, fan_in, fan_out, gain=1.0):
@@ -12,7 +12,3 @@ def xavier_uniform(rng, fan_in, fan_out, gain=1.0):
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
-
-def he_normal(rng, fan_in, fan_out):
-    """He/Kaiming normal init: N(0, sqrt(2/fan_in))."""
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))

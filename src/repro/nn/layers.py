@@ -1,11 +1,11 @@
-"""Layers: linear maps, activations, and input encodings.
+"""Layers: linear maps and activations.
 
 The paper's networks are fully connected, width 512 × depth 6, with SiLU
-activations and an optional input encoding layer ``phi_E`` (eq. 2).
+activations (eq. 2).
 
-Each activation carries its first and second derivative beside it, and each
-encoding its coordinate derivatives, so :class:`repro.nn.FullyConnected`
-can push forward Taylor jets (see ``docs/autodiff.md``).
+Each activation carries its first and second derivative beside it, so
+:class:`repro.nn.FullyConnected` can push forward Taylor jets (see
+``docs/autodiff.md``).
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autodiff as ad
-from ..autodiff import Tensor, concat
+from ..autodiff import Tensor
 from .init import xavier_uniform
 from .module import Module, Parameter
 
-__all__ = ["Linear", "Activation", "ActivationRule", "FourierEncoding",
-           "Identity", "ACTIVATIONS"]
+__all__ = ["Linear", "ActivationRule", "ACTIVATIONS"]
 
 
 class ActivationRule:
@@ -122,81 +121,3 @@ class Linear(Module):
 
     def forward(self, x):
         return x @ self.weight + self.bias
-
-
-class Activation(Module):
-    """Wrap a named activation function as a module."""
-
-    def __init__(self, name):
-        if name not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {name!r}; "
-                             f"choose from {sorted(ACTIVATIONS)}")
-        self.name = name
-        self._fn = ACTIVATIONS[name]
-
-    def forward(self, x):
-        return self._fn(x)
-
-
-class Identity(Module):
-    """No-op module (used as the default input encoding)."""
-
-    def forward(self, x):
-        return x
-
-    def jet(self, x):
-        """``(value, first, second)`` for forward jets.
-
-        ``first(k)`` is ``None``: the derivative along input coordinate
-        ``k`` is the unit vector ``e_k``, which the first linear layer turns
-        into its weight row ``k``.  ``second(a, b)`` is ``None`` (zero).
-        """
-        return x, lambda k: None, lambda a, b: None
-
-
-class FourierEncoding(Module):
-    """Random Fourier feature encoding ``[sin(2π x B), cos(2π x B)]``.
-
-    The frequency matrix ``B`` is fixed (not trained), matching Modulus'
-    ``fourier`` input encoding.  Output width is ``2 * num_frequencies``.
-    """
-
-    def __init__(self, in_features, num_frequencies=32, scale=1.0, rng=None,
-                 dtype=np.float64):
-        rng = rng if rng is not None else np.random.default_rng()
-        self.in_features = int(in_features)
-        self.num_frequencies = int(num_frequencies)
-        self.frequencies = Tensor(
-            (rng.normal(0.0, scale, (in_features, num_frequencies)) * 2.0 * np.pi)
-            .astype(dtype))
-
-    @property
-    def out_features(self):
-        """Width of the encoded feature vector."""
-        return 2 * self.num_frequencies
-
-    def forward(self, x):
-        projected = x @ self.frequencies
-        return concat([ad.sin(projected), ad.cos(projected)], axis=1)
-
-    def jet(self, x):
-        """``(value, first, second)`` for forward jets.
-
-        With ``p = x B``, the derivative along input coordinate ``k`` is
-        ``[cos(p) B_k, -sin(p) B_k]`` and along ``(a, b)`` it is
-        ``[-sin(p) B_a B_b, -cos(p) B_a B_b]``, ``B_k`` being row ``k`` of
-        the frequency matrix.
-        """
-        projected = x @ self.frequencies
-        sin, cos = ad.sin(projected), ad.cos(projected)
-        rows = self.frequencies
-
-        def first(k):
-            row = rows[k:k + 1]
-            return concat([cos * row, -(sin * row)], axis=1)
-
-        def second(a, b):
-            row = rows[a:a + 1] * rows[b:b + 1]
-            return concat([-(sin * row), -(cos * row)], axis=1)
-
-        return concat([sin, cos], axis=1), first, second

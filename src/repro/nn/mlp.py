@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autodiff as ad
-from .layers import ACTIVATIONS, Identity, Linear
+from .layers import ACTIVATIONS, Linear
 from .module import Module
 
 __all__ = ["FullyConnected", "Jet"]
 
 
 class FullyConnected(Module):
-    """Feed-forward network ``W_n(phi_{n-1} ∘ ... ∘ phi_1 ∘ phi_E)(x) + b_n``.
+    """Feed-forward network ``W_n(phi_{n-1} ∘ ... ∘ phi_1)(x) + b_n``.
 
     Parameters
     ----------
@@ -26,10 +26,8 @@ class FullyConnected(Module):
     depth:
         Number of hidden layers (paper: 6).
     activation:
-        Name of the hidden activation (paper: ``"silu"``).
-    encoding:
-        Optional input-encoding module (``phi_E`` in eq. 2); identity when
-        ``None``.
+        Name of the hidden activation (paper: ``"silu"``), a key of
+        :data:`repro.nn.ACTIVATIONS`.
     rng:
         Generator for reproducible initialisation.
     dtype:
@@ -37,16 +35,17 @@ class FullyConnected(Module):
     """
 
     def __init__(self, in_features, out_features, width=512, depth=6,
-                 activation="silu", encoding=None, rng=None, dtype=np.float64):
+                 activation="silu", rng=None, dtype=np.float64):
         rng = rng if rng is not None else np.random.default_rng()
         if depth < 1:
             raise ValueError("depth must be >= 1")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; "
+                             f"choose from {sorted(ACTIVATIONS)}")
         self.activation = activation
         self._act = ACTIVATIONS[activation]
-        self.encoding = encoding if encoding is not None else Identity()
-        first_in = getattr(self.encoding, "out_features", in_features)
         self.layers = []
-        sizes = [first_in] + [width] * depth
+        sizes = [in_features] + [width] * depth
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             self.layers.append(Linear(fan_in, fan_out, rng=rng, dtype=dtype))
         self.head = Linear(width, out_features, rng=rng, dtype=dtype)
@@ -54,10 +53,9 @@ class FullyConnected(Module):
         self.out_features = out_features
 
     def forward(self, x):
-        h = self.encoding(x)
         for layer in self.layers:
-            h = self._act(layer(h))
-        return self.head(h)
+            x = self._act(layer(x))
+        return self.head(x)
 
     def jet(self, x):
         """Evaluate the network on ``x`` as a :class:`Jet`: the output value
@@ -83,7 +81,7 @@ class Jet:
     def __init__(self, net, x):
         self._net = net
         self._rows = x.shape[0]
-        h, self._enc_first, self._enc_second = net.encoding.jet(x)
+        h = x
         #: per layer: the activation's ``(first, second)`` derivative thunks
         self._act_rules = []
         for layer in net.layers:
@@ -115,9 +113,9 @@ class Jet:
         """Per-layer pre-activation derivatives along input column ``k``."""
         if k not in self._tangents:
             layers = self._net.layers
-            t = self._enc_first(k)
-            w = layers[0].weight
-            z = w[k:k + 1] if t is None else t @ w
+            # the input's tangent along column ``k`` is the unit vector
+            # ``e_k``, which the first layer turns into its weight row ``k``
+            z = layers[0].weight[k:k + 1]
             tangents = [z]
             for i in range(1, len(layers)):
                 tangents.append(self._act_tangent(i - 1, z) @ layers[i].weight)
@@ -145,8 +143,7 @@ class Jet:
             a, b = key
             za, zb = self._pre_tangents(a), self._pre_tangents(b)
             layers = self._net.layers
-            t = self._enc_second(a, b)
-            zab = None if t is None else t @ layers[0].weight
+            zab = None          # the input's second derivatives are zero
             for i in range(len(layers)):
                 h = None
                 f2 = self._act_second(i)

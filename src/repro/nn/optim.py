@@ -9,20 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "LBFGS", "clip_grad_norm"]
-
-
-def clip_grad_norm(grads, max_norm):
-    """Scale gradient arrays in place so their global L2 norm ≤ ``max_norm``.
-
-    Returns the pre-clip norm.
-    """
-    total = float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
-    if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
-    return total
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
@@ -117,125 +104,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class LBFGS(Optimizer):
-    """Limited-memory BFGS with backtracking line search.
-
-    The standard second-stage optimizer for PINNs (Adam warm-up followed by
-    L-BFGS refinement).  Uses the two-loop recursion over the last
-    ``history`` curvature pairs and an Armijo backtracking line search.
-
-    Unlike the first-order optimizers, L-BFGS must re-evaluate the loss
-    during the line search, so it is driven through :meth:`step_closure`
-    with a callable returning ``(loss_value, grads)`` for the *same*
-    mini-batch.
-    """
-
-    def __init__(self, params, lr=1.0, history=10, max_line_search=10,
-                 armijo=1e-4):
-        super().__init__(params, lr)
-        self.history = int(history)
-        self.max_line_search = int(max_line_search)
-        self.armijo = float(armijo)
-        self._s = []   # parameter displacements
-        self._y = []   # gradient displacements
-        self._last_flat_grad = None
-
-    def state_dict(self):
-        state = super().state_dict()
-        state["history"] = self.history
-        state["s"] = [s.copy() for s in self._s]
-        state["y"] = [y.copy() for y in self._y]
-        # None cannot ride in an .npz archive; omit the key instead
-        if self._last_flat_grad is not None:
-            state["last_flat_grad"] = self._last_flat_grad.copy()
-        return state
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        self.history = int(state["history"])
-        self._s = [np.asarray(s, dtype=np.float64).copy()
-                   for s in state["s"]]
-        self._y = [np.asarray(y, dtype=np.float64).copy()
-                   for y in state["y"]]
-        last = state.get("last_flat_grad")
-        self._last_flat_grad = (None if last is None
-                                else np.asarray(last, dtype=np.float64).copy())
-
-    # -- flat <-> per-parameter helpers ---------------------------------
-    def _flatten(self, arrays):
-        return np.concatenate([np.asarray(a).ravel() for a in arrays])
-
-    def _assign(self, flat):
-        offset = 0
-        for p in self.params:
-            size = p.data.size
-            p.data = flat[offset:offset + size].reshape(p.data.shape).astype(
-                p.data.dtype)
-            offset += size
-
-    def _current_flat(self):
-        return np.concatenate([p.data.astype(np.float64).ravel()
-                               for p in self.params])
-
-    def _direction(self, grad):
-        q = grad.copy()
-        alphas = []
-        for s, y in zip(reversed(self._s), reversed(self._y)):
-            rho = 1.0 / max(float(y @ s), 1e-300)
-            alpha = rho * float(s @ q)
-            q -= alpha * y
-            alphas.append((alpha, rho, s, y))
-        if self._s:
-            s, y = self._s[-1], self._y[-1]
-            gamma = float(s @ y) / max(float(y @ y), 1e-300)
-            q *= gamma
-        for alpha, rho, s, y in reversed(alphas):
-            beta = rho * float(y @ q)
-            q += (alpha - beta) * s
-        return -q
-
-    def step_closure(self, closure):
-        """One L-BFGS update; ``closure() -> (loss, grads)`` re-evaluates
-        the objective at the current parameters."""
-        loss, grads = closure()
-        flat_grad = self._flatten(g.numpy() if hasattr(g, "numpy") else g
-                                  for g in grads)
-        x0 = self._current_flat()
-        direction = self._direction(flat_grad)
-        slope = float(flat_grad @ direction)
-        if slope >= 0:          # not a descent direction: reset memory
-            self._s.clear()
-            self._y.clear()
-            direction = -flat_grad
-            slope = -float(flat_grad @ flat_grad)
-
-        step = self.lr
-        new_loss = loss
-        for _ in range(self.max_line_search):
-            self._assign(x0 + step * direction)
-            new_loss, new_grads = closure()
-            if new_loss <= loss + self.armijo * step * slope:
-                break
-            step *= 0.5
-        else:
-            self._assign(x0)    # no acceptable step; keep parameters
-            return loss
-
-        new_flat = self._flatten(g.numpy() if hasattr(g, "numpy") else g
-                                 for g in new_grads)
-        s = (x0 + step * direction) - x0
-        y = new_flat - flat_grad
-        if float(s @ y) > 1e-10:
-            self._s.append(s)
-            self._y.append(y)
-            if len(self._s) > self.history:
-                self._s.pop(0)
-                self._y.pop(0)
-        self.step_count += 1
-        self._last_flat_grad = new_flat
-        return new_loss
-
-    def _update(self, grads):
-        raise RuntimeError("LBFGS is driven via step_closure(), not step()")

@@ -2,26 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["ConstantLR", "ExponentialDecayLR"]
-
-
-class ConstantLR:
-    """Fixed learning rate."""
-
-    def __init__(self, optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-
-    def step(self):
-        """No-op; kept for interface symmetry."""
-
-    def state_dict(self):
-        """Snapshot of the schedule's mutable state."""
-        return {"base_lr": self.base_lr}
-
-    def load_state_dict(self, state):
-        """Restore a snapshot produced by :meth:`state_dict`."""
-        self.base_lr = float(state["base_lr"])
+__all__ = ["ExponentialDecayLR"]
 
 
 class ExponentialDecayLR:

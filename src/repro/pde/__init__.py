@@ -9,14 +9,10 @@ from .poisson3d import Poisson3D
 from .burgers import Burgers1D, burgers_travelling_wave
 from .inverse import TrainableCoefficient
 from .advection_diffusion import AdvectionDiffusion2D
-from .operators import (divergence, vorticity_2d, strain_rate_invariant,
-                        gradient_magnitude)
 
 __all__ = [
     "Fields", "PDE", "NavierStokes2D", "NavierStokes3D",
     "ZeroEquationTurbulence",
     "Poisson2D", "Poisson3D", "Burgers1D", "burgers_travelling_wave",
     "TrainableCoefficient", "AdvectionDiffusion2D",
-    "divergence", "vorticity_2d", "strain_rate_invariant",
-    "gradient_magnitude",
 ]

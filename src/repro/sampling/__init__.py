@@ -4,7 +4,6 @@ from .base import Sampler
 from .uniform import UniformSampler
 from .mis import MISSampler
 from .sgm import ClusterPlan, SGMSampler
-from .rar import RARSampler
 
 __all__ = ["Sampler", "UniformSampler", "MISSampler", "ClusterPlan",
-           "SGMSampler", "RARSampler"]
+           "SGMSampler"]

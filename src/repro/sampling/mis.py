@@ -46,6 +46,8 @@ class MISSampler(Sampler):
         """
         super().__init__(n_points, seed=seed)
         self.tau_e = int(tau_e)
+        if self.tau_e < 1:
+            raise ValueError(f"tau_e must be >= 1, got {self.tau_e}")
         self.measure = measure
         if measure not in ("grad_norm", "loss"):
             raise ValueError(f"unknown measure {measure!r}")

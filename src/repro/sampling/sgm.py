@@ -192,6 +192,8 @@ class SGMSampler(Sampler):
         self.plan = plan
         self.shard = int(shard)
         self.tau_e = int(tau_e)
+        if self.tau_e < 1:
+            raise ValueError(f"tau_e must be >= 1, got {self.tau_e}")
         self.tau_g = int(tau_G)
         self.probe_ratio = float(probe_ratio)
         if not 0.0 < self.probe_ratio <= 1.0:

@@ -4,7 +4,6 @@ from .acm import ACMSolver, ACMResult
 from .ghia import GHIA_X, GHIA_Y, ghia_u_centerline, ghia_v_centerline
 from .ldc import solve_ldc, zero_eq_viscosity_field, ldc_wall_distance
 from .annulus import annulus_mask, solve_annulus, ANNULUS_DEFAULTS
-from .poisson_fdm import solve_poisson_dirichlet
 from .cache import cache_dir, get_or_compute
 
 __all__ = [
@@ -12,5 +11,5 @@ __all__ = [
     "GHIA_X", "GHIA_Y", "ghia_u_centerline", "ghia_v_centerline",
     "solve_ldc", "zero_eq_viscosity_field", "ldc_wall_distance",
     "annulus_mask", "solve_annulus", "ANNULUS_DEFAULTS",
-    "solve_poisson_dirichlet", "cache_dir", "get_or_compute",
+    "cache_dir", "get_or_compute",
 ]

@@ -492,21 +492,18 @@ class Trainer:
             execution — permanently, with the reason kept on
             :meth:`compile_info` — if the graph refuses to compile or a
             retrace-invalidating change (batch size, dtype, weight layout)
-            is detected mid-run.  Ignored for closure-driven optimizers
-            (L-BFGS re-evaluates the graph inside the closure).
+            is detected mid-run.
         """
         history = history if history is not None else History(label=label)
         clock = clock if clock is not None else TrainingClock()
-        use_closure = hasattr(self.optimizer, "step_closure")
+        for name, every in (("validate_every", validate_every),
+                            ("record_every", record_every)):
+            if every < 1:
+                raise ValueError(f"{name} must be >= 1, got {every}")
         if self.dp is not None:
             if start_step != 0:
                 raise ValueError("data-parallel training does not support "
                                  "checkpoint resume (start_step must be 0)")
-            if use_closure:
-                raise ValueError("data-parallel training needs a gradient "
-                                 "optimizer; closure-driven optimizers "
-                                 "(L-BFGS) re-evaluate the loss internally "
-                                 "and cannot fold an allreduced gradient")
             if obs.enabled():
                 obs.gauge("dp.shards", self.dp.n_shards)
         if start_step == 0:
@@ -514,15 +511,12 @@ class Trainer:
                 sampler.start()
 
         self.replay_states = ({shard: _ReplayState() for shard in self.owned}
-                              if compile and not use_closure else {})
+                              if compile else {})
         last_errors = dict(last_errors or {})
         with obs.span("train.run", label=label):
             for step in range(start_step, steps):
                 with obs.span("train.step", step=step) as step_span:
-                    if use_closure:
-                        loss_value = self._closure_step(step)
-                    else:
-                        loss_value = self._step(step)
+                    loss_value = self._step(step)
 
                     is_last = step == steps - 1
                     if step % validate_every == 0 or is_last:
@@ -530,8 +524,7 @@ class Trainer:
                             last_errors = (self.validate() if self.dp is None
                                            else self._sharded_validate(step))
                         obs.inc("train.validations")
-                    step_span.set(mode="closure" if use_closure
-                                  else self.compile_info())
+                    step_span.set(mode=self.compile_info())
                 obs.inc("train.steps")
                 if step % record_every == 0 or is_last:
                     history.record(step, clock.elapsed(), loss_value,
@@ -548,25 +541,6 @@ class Trainer:
                     hook(step=step, trainer=self, clock=clock,
                          errors=last_errors)
         return history
-
-    def _closure_step(self, step):
-        """Drive a closure-based optimizer (L-BFGS) on one fixed batch."""
-        with obs.span("train.sample"):
-            batches, weights = self._step_batches(step)
-            self._probe_points = self._shard_probe_points(0)
-
-        def closure():
-            with obs.span("train.forward"):
-                loss = self._assemble_loss(batches, weights)
-            with obs.span("train.backward"):
-                grads = gradients(loss, self.params)
-            return loss.item(), [g.numpy() for g in grads]
-
-        with obs.span("train.optimizer"):
-            loss_value = self.optimizer.step_closure(closure)
-            if self.scheduler is not None:
-                self.scheduler.step()
-        return loss_value
 
 
 def _chunked(fn, indices, chunk):

@@ -103,17 +103,3 @@ def test_program_run_rejects_shape_drift_directly():
     externals[0] = externals[0][:-1]   # drop a row: shape mismatch
     with pytest.raises(ReplayStale):
         program.run(externals, trainer._weight_list(weights))
-
-
-def test_closure_optimizers_ignore_compile():
-    # L-BFGS re-evaluates the graph inside its closure; compile=True must
-    # be a no-op there (no replay state machine), not an error
-    from repro.nn import LBFGS
-
-    trainer = _wire("burgers", "uniform")
-    trainer.optimizer = LBFGS(trainer.params)
-    trainer.scheduler = None
-    history = trainer.train(2, validate_every=10**6, record_every=1,
-                            compile=True)
-    assert len(history.losses) == 2
-    assert trainer.compile_info() == "eager"

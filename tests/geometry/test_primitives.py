@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import (
-    Annulus, Channel2D, Circle, Line2D, PointCloud, Rectangle,
+    Channel2D, Circle, Line2D, PointCloud, Rectangle,
 )
 
 RNG = np.random.default_rng(0)
@@ -121,47 +121,6 @@ class TestCircle:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             Circle((0, 0), 0.0)
-
-
-class TestAnnulus:
-    def setup_method(self):
-        self.ring = Annulus((0.0, 0.0), 1.0, 2.0)
-
-    def test_sdf_signs(self):
-        assert self.ring.sdf(np.array([[1.5, 0.0]]))[0] > 0   # in the ring
-        assert self.ring.sdf(np.array([[0.5, 0.0]]))[0] < 0   # in the hole
-        assert self.ring.sdf(np.array([[2.5, 0.0]]))[0] < 0   # outside
-
-    def test_sdf_wall_distance(self):
-        assert np.isclose(self.ring.sdf(np.array([[1.5, 0.0]]))[0], 0.5)
-        assert np.isclose(self.ring.sdf(np.array([[1.2, 0.0]]))[0], 0.2)
-
-    def test_interior_sampling_avoids_hole(self):
-        cloud = self.ring.sample_interior(800, RNG)
-        radii = np.linalg.norm(cloud.coords, axis=1)
-        assert np.all((radii > 1.0) & (radii < 2.0))
-
-    def test_boundary_both_circles(self):
-        cloud = self.ring.sample_boundary(600, RNG)
-        radii = np.linalg.norm(cloud.coords, axis=1)
-        on_inner = np.isclose(radii, 1.0)
-        on_outer = np.isclose(radii, 2.0)
-        assert np.all(on_inner | on_outer)
-        assert on_inner.sum() > 0 and on_outer.sum() > 0
-        # proportional to circumference: outer gets ~2/3
-        assert abs(on_outer.mean() - 2.0 / 3.0) < 0.1
-
-    def test_inner_normals_point_into_hole(self):
-        cloud = self.ring.sample_boundary(600, RNG)
-        radii = np.linalg.norm(cloud.coords, axis=1)
-        inner = np.isclose(radii, 1.0)
-        # outward from the ring means toward the hole center
-        dots = np.sum(cloud.normals[inner] * cloud.coords[inner], axis=1)
-        assert np.all(dots < 0)
-
-    def test_invalid_radii(self):
-        with pytest.raises(ValueError):
-            Annulus((0, 0), 2.0, 1.0)
 
 
 class TestLine2D:

@@ -1,9 +1,9 @@
 """Forward jets through FullyConnected against the reverse-mode oracle.
 
-For every activation rule and both input encodings, the jet's first
-derivatives and its mixed and unmixed second derivatives must equal the
-reverse-mode derivatives ``Fields`` computes for a net without a ``jet``
-method, within float32 tolerance.
+For every activation rule and net depth, the jet's first derivatives and
+its mixed and unmixed second derivatives must equal the reverse-mode
+derivatives ``Fields`` computes for a net without a ``jet`` method, within
+float32 tolerance.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import op_name, record_tape
-from repro.nn import ACTIVATIONS, FourierEncoding, FullyConnected
+from repro.nn import ACTIVATIONS, FullyConnected
 from repro.pde import Fields
 
 NAMES = ("x", "y", "t")
@@ -29,13 +29,10 @@ class ReverseOnly:
         return self.net(x)
 
 
-def _net(activation, fourier, n_in, seed, dtype=np.float32):
-    rng = np.random.default_rng(seed)
-    encoding = (FourierEncoding(n_in, num_frequencies=3, scale=0.5, rng=rng,
-                                dtype=dtype) if fourier else None)
-    return FullyConnected(n_in, len(OUTPUTS), width=8, depth=2,
-                          activation=activation, encoding=encoding, rng=rng,
-                          dtype=dtype)
+def _net(activation, n_in, seed, depth=2, dtype=np.float32):
+    return FullyConnected(n_in, len(OUTPUTS), width=8, depth=depth,
+                          activation=activation,
+                          rng=np.random.default_rng(seed), dtype=dtype)
 
 
 def _both(net, features):
@@ -56,13 +53,13 @@ def _close(actual, expected):
 
 @settings(max_examples=40, deadline=None)
 @given(activation=st.sampled_from(sorted(ACTIVATIONS)),
-       fourier=st.booleans(),
+       depth=st.integers(1, 3),
        n_in=st.integers(1, 3),
        seed=st.integers(0, 2**16))
-def test_jet_derivatives_match_reverse_mode(activation, fourier, n_in, seed):
+def test_jet_derivatives_match_reverse_mode(activation, depth, n_in, seed):
     rng = np.random.default_rng(seed + 1)
     features = rng.uniform(-1.0, 1.0, (6, n_in)).astype(np.float32)
-    jet, rev, names = _both(_net(activation, fourier, n_in, seed), features)
+    jet, rev, names = _both(_net(activation, n_in, seed, depth), features)
     for out in OUTPUTS:
         _close(jet.get(out), rev.get(out))
         for i, a in enumerate(names):
@@ -74,7 +71,7 @@ def test_jet_derivatives_match_reverse_mode(activation, fourier, n_in, seed):
 
 @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
 def test_jet_value_is_the_forward_pass_bit_for_bit(activation):
-    net = _net(activation, False, 2, seed=3)
+    net = _net(activation, 2, seed=3)
     features = np.random.default_rng(0).uniform(-1, 1, (5, 2))
     fields = Fields.evaluate(net, features.astype(np.float32), OUTPUTS)
     plain = net(Fields.from_features(features.astype(np.float32))
@@ -84,7 +81,7 @@ def test_jet_value_is_the_forward_pass_bit_for_bit(activation):
 
 
 def test_directions_are_built_only_on_demand():
-    net = _net("tanh", False, 2, seed=0)     # 2 hidden layers + head
+    net = _net("tanh", 2, seed=0)     # 2 hidden layers + head
     features = np.zeros((4, 2), dtype=np.float32)
 
     def matmuls(request):
@@ -106,7 +103,7 @@ def test_directions_are_built_only_on_demand():
 def test_reverse_passes_through_a_jet_stay_exact():
     """A reverse derivative of a jet-derived quantity (flux terms under
     ``full_diffusion``) equals the jet's own second derivative."""
-    net = _net("silu", False, 2, seed=5)
+    net = _net("silu", 2, seed=5)
     features = np.random.default_rng(1).uniform(-1, 1, (7, 2))
     fields = Fields.evaluate(net, features.astype(np.float32), OUTPUTS)
     fields.register("a_x", fields.d("a", "x"))

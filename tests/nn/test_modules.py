@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, gradients
-from repro.nn import (
-    ACTIVATIONS, Activation, FourierEncoding, FullyConnected, Identity,
-    Linear, Module, Parameter,
-)
+from repro.nn import ACTIVATIONS, FullyConnected, Linear, Module, Parameter
 
 
 def test_linear_shapes_and_values():
@@ -77,46 +74,16 @@ def test_load_state_dict_rejects_bad_shape():
 
 
 def test_activation_registry_rejects_unknown():
-    with pytest.raises(ValueError):
-        Activation("nope")
+    with pytest.raises(ValueError, match="unknown activation 'nope'.*silu"):
+        FullyConnected(2, 1, width=4, depth=1, activation="nope")
 
 
 @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
 def test_all_activations_evaluate(name):
-    act = Activation(name)
     x = Tensor(np.linspace(-1, 1, 5))
-    out = act(x)
+    out = ACTIVATIONS[name](x)
     assert out.shape == x.shape
     assert np.all(np.isfinite(out.numpy()))
-
-
-def test_identity_passthrough():
-    x = Tensor(np.arange(4.0))
-    assert Identity()(x) is x
-
-
-def test_fourier_encoding_shape_and_range():
-    rng = np.random.default_rng(4)
-    enc = FourierEncoding(2, num_frequencies=8, rng=rng)
-    assert enc.out_features == 16
-    x = Tensor(rng.uniform(size=(10, 2)))
-    out = enc(x)
-    assert out.shape == (10, 16)
-    assert np.all(np.abs(out.numpy()) <= 1.0 + 1e-12)
-
-
-def test_fourier_encoding_frequencies_not_trainable():
-    enc = FourierEncoding(2, num_frequencies=4, rng=np.random.default_rng(0))
-    assert list(enc.named_parameters()) == []
-
-
-def test_mlp_with_encoding_wires_widths():
-    rng = np.random.default_rng(5)
-    enc = FourierEncoding(2, num_frequencies=8, rng=rng)
-    net = FullyConnected(2, 1, width=6, depth=2, encoding=enc, rng=rng)
-    x = Tensor(rng.uniform(size=(3, 2)))
-    assert net(x).shape == (3, 1)
-    assert net.layers[0].in_features == enc.out_features
 
 
 def test_mlp_rejects_zero_depth():

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import gradients
-from repro.nn import (
-    Adam, ConstantLR, ExponentialDecayLR, FullyConnected, Parameter, SGD,
-    clip_grad_norm,
-)
+from repro.nn import Adam, ExponentialDecayLR, FullyConnected, Parameter, SGD
 from repro.autodiff import Tensor
 
 
@@ -83,22 +80,6 @@ def test_optimizer_rejects_wrong_grad_count():
         opt.step([])
 
 
-def test_clip_grad_norm_scales_in_place():
-    g1 = np.array([3.0, 0.0])
-    g2 = np.array([0.0, 4.0])
-    norm = clip_grad_norm([g1, g2], max_norm=1.0)
-    assert np.isclose(norm, 5.0)
-    total = np.sqrt((g1 ** 2).sum() + (g2 ** 2).sum())
-    assert np.isclose(total, 1.0)
-
-
-def test_clip_grad_norm_noop_below_threshold():
-    g = np.array([0.3, 0.4])
-    norm = clip_grad_norm([g], max_norm=1.0)
-    assert np.isclose(norm, 0.5)
-    assert np.allclose(g, [0.3, 0.4])
-
-
 def test_exponential_decay_schedule():
     p = Parameter(np.zeros(1))
     opt = Adam([p], lr=1.0)
@@ -109,12 +90,3 @@ def test_exponential_decay_schedule():
     for _ in range(10):
         sched.step()
     assert np.isclose(opt.lr, 0.25)
-
-
-def test_constant_lr_never_changes():
-    p = Parameter(np.zeros(1))
-    opt = Adam([p], lr=0.123)
-    sched = ConstantLR(opt)
-    for _ in range(5):
-        sched.step()
-    assert opt.lr == 0.123

@@ -1,33 +1,8 @@
-"""Poisson FDM solver and the solution cache."""
+"""The solution cache."""
 
 import numpy as np
-import pytest
 
-from repro.solvers import get_or_compute, solve_poisson_dirichlet
-
-
-def test_poisson_matches_manufactured_solution():
-    # u = sin(pi x) sin(pi y)  ->  f = -2 pi^2 u, u = 0 on the boundary
-    def source(x, y):
-        return -2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    xs, ys, u = solve_poisson_dirichlet(source, resolution=65)
-    gx, gy = np.meshgrid(xs, ys)
-    exact = np.sin(np.pi * gx) * np.sin(np.pi * gy)
-    assert np.max(np.abs(u - exact)) < 5e-3
-
-
-def test_poisson_boundary_zero():
-    xs, ys, u = solve_poisson_dirichlet(lambda x, y: np.ones_like(x),
-                                        resolution=33)
-    assert np.allclose(u[0, :], 0.0) and np.allclose(u[:, -1], 0.0)
-
-
-def test_poisson_sign_of_solution():
-    # laplace(u) = 1 with zero BCs gives u < 0 inside
-    xs, ys, u = solve_poisson_dirichlet(lambda x, y: np.ones_like(x),
-                                        resolution=33)
-    assert u[16, 16] < 0.0
+from repro.solvers import get_or_compute
 
 
 class TestCache:

@@ -202,6 +202,18 @@ class TestRunConfigAndStore:
         assert main(["run", "--config", str(bad)]) == 2
         assert "problem" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field", ["tau_e", "validate_every"])
+    def test_zero_cadence_is_a_config_error(self, tmp_path, capsys, field):
+        config = tmp_path / "exp.toml"
+        store_root = (tmp_path / "runs").as_posix()
+        config.write_text('[run]\nproblem = "burgers"\nsampler = "sgm"\n'
+                          'scale = "smoke"\nsteps = 5\nn_interior = 300\n'
+                          f'\n[config]\n{field} = 0\n'
+                          f'\n[store]\nroot = "{store_root}"\n')
+        assert main(["run", "--config", str(config)]) == 2
+        out = capsys.readouterr().out
+        assert "error:" in out and f"{field} must be >= 1" in out
+
     def test_runs_list_show_compare_resume_gc(self, tmp_path, capsys):
         config = self._write_config(tmp_path, tmp_path / "runs")
         store = ["--store", str(tmp_path / "runs")]

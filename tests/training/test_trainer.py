@@ -174,39 +174,3 @@ class TestMechanics:
         finally:
             if was_enabled:
                 gc.enable()
-
-
-class TestClosureOptimizers:
-    def test_lbfgs_closure_weights_residuals_by_importance(self):
-        # L-BFGS drives the step through a closure; its loss must be the
-        # same 1/(N p_i)-weighted objective a gradient optimizer trains,
-        # not the unweighted one
-        from repro.nn import LBFGS, SGD
-
-        class RecordingLBFGS(LBFGS):
-            def step_closure(self, closure):
-                def recorded():
-                    loss, grads = closure()
-                    self.evaluated.append(loss)
-                    return loss, grads
-                self.evaluated = []
-                return super().step_closure(recorded)
-
-        def build(optimizer_cls):
-            _, constraints, _ = poisson_problem(n_interior=300)
-            net = make_net(width=8, depth=1)
-            mis = MISSampler(300, tau_e=50, measure="loss", seed=0)
-            trainer = Trainer(net, constraints,
-                              optimizer_cls(net.parameters()),
-                              samplers={"interior": mis}, seed=0)
-            return trainer, mis
-
-        closure_trainer, mis = build(RecordingLBFGS)
-        closure_trainer.train(1, validate_every=100, record_every=1)
-        eager_trainer, _ = build(SGD)
-        eager = eager_trainer.train(1, validate_every=100, record_every=1)
-        # the refresh at step 0 made the weights non-uniform
-        assert mis.probe_points == 300
-        weights = mis.batch_weights(np.arange(300))
-        assert not np.allclose(weights, weights[0])
-        assert closure_trainer.optimizer.evaluated[0] == eager.losses[0]
