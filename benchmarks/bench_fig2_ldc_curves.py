@@ -1,17 +1,17 @@
 """Figure 2: LDC v-error vs wall time for all four sampling methods."""
 
-from repro.experiments import error_curves, render_curves
+from repro.experiments import history_curves, render_curves
 
 
 def test_figure2_curves(benchmark, ldc_suite_results):
-    config, results = ldc_suite_results
-    histories = {label: r.history for label, r in results.items()}
+    config, suite = ldc_suite_results
+    histories = suite.histories()
 
-    curves = benchmark(error_curves, histories, "v")
+    curves = benchmark(history_curves, histories, "v")
 
-    chart = render_curves(curves,
-                          f"Figure 2 (scale={config.scale}): LDC v-error "
-                          f"vs wall time [s]")
+    chart = render_curves(histories, var="v",
+                          title=f"Figure 2 (scale={config.scale}): LDC "
+                                f"v-error vs wall time [s]")
     print()
     print(chart)
 

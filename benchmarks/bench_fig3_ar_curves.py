@@ -4,18 +4,19 @@ The qualitative shape to reproduce: plain SGM (no ISR) trails the uniform
 baseline on the parameterized problem, while SGM-S recovers it (§4.2).
 """
 
-from repro.experiments import error_curves, render_curves
+from repro.experiments import history_curves, render_curves
 
 
 def test_figure3_curves(benchmark, ar_suite_results):
-    config, results = ar_suite_results
-    histories = {label: r.history for label, r in results.items()}
+    config, suite = ar_suite_results
+    histories = suite.histories()
 
-    curves = benchmark(error_curves, histories, "v")
+    curves = benchmark(history_curves, histories, "v")
 
-    chart = render_curves(curves,
-                          f"Figure 3 (scale={config.scale}): AR v-error vs "
-                          f"wall time [s] (averaged over r_i)")
+    chart = render_curves(histories, var="v",
+                          title=f"Figure 3 (scale={config.scale}): AR "
+                                f"v-error vs wall time [s] (averaged over "
+                                f"r_i)")
     print()
     print(chart)
 

@@ -11,10 +11,10 @@ from repro.experiments import pressure_error_fields
 
 
 def test_figure4_pressure_fields(benchmark, ar_suite_results):
-    config, results = ar_suite_results
+    config, suite = ar_suite_results
 
     fig4 = benchmark.pedantic(pressure_error_fields,
-                              args=(results, config),
+                              args=({m.label: m for m in suite}, config),
                               kwargs={"r_inner": 1.0},
                               rounds=1, iterations=1)
 

@@ -7,29 +7,31 @@ prints the reproduced table.  The paper's claims to check at any scale:
 * SGM reaches the baseline's (U_large's) best error fastest.
 """
 
-from repro.experiments import format_table, ldc_config, run_ldc_suite, table1_rows
+from repro.experiments import (
+    format_table, ldc_config, ldc_methods, run_suite, table1_rows,
+)
 
 
 def test_table1_ldc(benchmark, ldc_suite_results):
-    config, results = ldc_suite_results
+    config, suite = ldc_suite_results
 
     def regenerate():
         # the session fixture pays for training; the benchmark reports the
         # end-to-end sweep cost at smoke scale (rounds=1 keeps it bounded)
-        fresh = run_ldc_suite(ldc_config("smoke"), verbose=False)
-        return {label: r.history for label, r in fresh.items()}
+        smoke = ldc_config("smoke")
+        return run_suite("ldc", ldc_methods(smoke), config=smoke,
+                         backend="serial").histories()
 
     benchmark.pedantic(regenerate, rounds=1, iterations=1)
 
-    histories = {label: r.history for label, r in results.items()}
-    columns, rows = table1_rows(histories)
+    histories = suite.histories()
     print()
     print(format_table(
         f"Table 1 (scale={config.scale}): LDC_zeroEq min errors and "
-        f"time-to-threshold [s]", columns, rows))
+        f"time-to-threshold [s]", *table1_rows(histories)))
     print("\nProbe overhead (extra forward passes):")
-    for label, r in results.items():
-        print(f"  {label:>12}: {r.sampler.probe_points}")
+    for method in suite:
+        print(f"  {method.label:>12}: {method.probe_points}")
 
     for label, history in histories.items():
         assert history.min_error("u") < 1.5, f"{label} diverged"

@@ -9,8 +9,8 @@ from repro.experiments import format_table, table2_rows
 
 
 def test_table2_annular_ring(benchmark, ar_suite_results):
-    config, results = ar_suite_results
-    histories = {label: r.history for label, r in results.items()}
+    config, suite = ar_suite_results
+    histories = suite.histories()
 
     table_histories = {label: h for label, h in histories.items()
                        if not (label.startswith("SGM") and "-S" not in label)}

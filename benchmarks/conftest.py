@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.experiments import (
-    annular_ring_config, ldc_config, run_ar_suite, run_ldc_suite,
+    annular_ring_config, ar_methods, ldc_config, ldc_methods, run_suite,
 )
 
 
@@ -35,13 +35,14 @@ def bench_backend():
 def ldc_suite_results():
     """Train the Table-1 methods once per session."""
     config = ldc_config(bench_scale())
-    return config, run_ldc_suite(config, verbose=False,
-                                 backend=bench_backend())
+    return config, run_suite("ldc", ldc_methods(config), config=config,
+                             backend=bench_backend())
 
 
 @pytest.fixture(scope="session")
 def ar_suite_results():
     """Train the Table-2 (+ Figure-3) methods once per session."""
     config = annular_ring_config(bench_scale())
-    return config, run_ar_suite(config, include_plain_sgm=True,
-                                verbose=False, backend=bench_backend())
+    return config, run_suite("annular_ring",
+                             ar_methods(config, include_plain_sgm=True),
+                             config=config, backend=bench_backend())

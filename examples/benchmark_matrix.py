@@ -15,9 +15,9 @@ Usage::
 
 import argparse
 
-from repro.experiments import matrix_table, run_matrix
-from repro.store import (RunStore, compare_table, group_by_problem,
-                         render_convergence)
+from repro.experiments import (compare_table, matrix_table, render_curves,
+                               run_matrix, stored_histories)
+from repro.store import RunStore
 
 
 def main():
@@ -45,19 +45,21 @@ def main():
                         store=store)
 
     print()
-    print(matrix_table(matrix))
+    print(matrix_table(matrix.histories(), "Benchmark matrix"))
     print(f"\nmatrix total: {matrix.total_seconds:.1f}s "
           f"({matrix.backend} backend, {matrix.n_cells} cells); "
           f"recorded {len(matrix.run_ids())} runs in {store.root}")
 
     # everything below reads only the persisted records — rerunnable any
     # time later via `repro runs --store <dir> plot` / `... compare`
-    records = [store.open(run_id) for run_id in matrix.run_ids()]
+    grouped = stored_histories(store.open(run_id)
+                               for run_id in matrix.run_ids())
     print()
-    print(compare_table(records))
-    for group in group_by_problem(records).values():
+    print(compare_table(grouped))
+    for problem, histories in grouped.items():
         print()
-        print(render_convergence(group))
+        print(render_curves(histories, title=f"Convergence vs wall time "
+                                             f"({problem}): loss"))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Trains the four methods of the paper's Table 1 — uniform small-batch,
 uniform large-batch, Modulus-style importance sampling (MIS), and SGM-PINN —
 then prints the Min-error / time-to-threshold table and writes the Figure-2
-error-vs-wall-time series.
+error-vs-wall-time series (long-format CSV:
+``problem,label,wall_time,err_v``).
 
 Usage::
 
@@ -15,8 +16,8 @@ import argparse
 from pathlib import Path
 
 from repro.experiments import (
-    error_curves, curves_to_csv, format_table, ldc_config, render_curves,
-    run_ldc_suite, table1_rows,
+    format_table, ldc_config, ldc_methods, render_curves, run_suite,
+    table1_rows, write_curves_csv,
 )
 
 
@@ -36,32 +37,32 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     config = ldc_config(args.scale)
 
-    backend = "process" if args.parallel else "serial"
-    results = run_ldc_suite(config, backend=backend)
-    histories = {label: r.history for label, r in results.items()}
+    suite = run_suite("ldc", ldc_methods(config), config=config,
+                      backend="process" if args.parallel else "serial",
+                      verbose=True)
+    histories = suite.histories()
 
     for label, history in histories.items():
         history.to_csv(out / f"ldc_{label}.csv")
 
-    columns, rows = table1_rows(histories)
     table = format_table(
         f"Table 1 (scale={args.scale}): LDC_zeroEq min validation errors "
-        f"and time-to-threshold [s]", columns, rows)
+        f"and time-to-threshold [s]", *table1_rows(histories))
     print()
     print(table)
     (out / "table1.txt").write_text(table + "\n")
 
-    curves = error_curves(histories, var="v")
-    curves_to_csv(curves, out / "figure2_v_error_vs_time.csv")
-    chart = render_curves(curves, "Figure 2: LDC v-error vs wall time (s)")
+    write_curves_csv({"ldc": histories}, out / "figure2_v_error_vs_time.csv",
+                     var="v")
+    chart = render_curves(histories, var="v",
+                          title="Figure 2: LDC v-error vs wall time (s)")
     print()
     print(chart)
     (out / "figure2.txt").write_text(chart + "\n")
 
-    overhead = {label: r.sampler.probe_points for label, r in results.items()}
     print("\nProbe overhead (forward passes for importance refreshes):")
-    for label, count in overhead.items():
-        print(f"  {label:>12}: {count}")
+    for method in suite:
+        print(f"  {method.label:>12}: {method.probe_points}")
 
 
 if __name__ == "__main__":

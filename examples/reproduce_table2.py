@@ -4,6 +4,8 @@ Trains the methods of the paper's Table 2 — uniform small/large batch, MIS,
 SGM-PINN with the ISR stability term (SGM-S) — plus the plain SGM variant
 shown only in Figure 3, on the parameterized annular-ring problem
 (inner radius r_i ∈ [0.75, 1.1], validated at r_i ∈ {1.0, 0.875, 0.75}).
+The Figure-3 series is written as long-format CSV
+(``problem,label,wall_time,err_v``).
 
 Usage::
 
@@ -17,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments import (
-    annular_ring_config, curves_to_csv, error_curves, format_table,
-    pressure_error_fields, render_curves, run_ar_suite, table2_rows,
+    annular_ring_config, ar_methods, format_table, pressure_error_fields,
+    render_curves, run_suite, table2_rows, write_curves_csv,
 )
 
 
@@ -37,11 +39,11 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     config = annular_ring_config(args.scale)
 
-    results = run_ar_suite(config,
-                           include_plain_sgm=not args.skip_plain_sgm,
-                           backend="process" if args.parallel
-                           else "serial")
-    histories = {label: r.history for label, r in results.items()}
+    methods = ar_methods(config, include_plain_sgm=not args.skip_plain_sgm)
+    suite = run_suite("annular_ring", methods, config=config,
+                      backend="process" if args.parallel else "serial",
+                      verbose=True)
+    histories = suite.histories()
     for label, history in histories.items():
         history.to_csv(out / f"ar_{label}.csv")
 
@@ -49,22 +51,23 @@ def main():
     table_histories = {label: h for label, h in histories.items()
                        if not (label.startswith("SGM") and
                                "-S" not in label)}
-    columns, rows = table2_rows(table_histories)
     table = format_table(
         f"Table 2 (scale={args.scale}): parameterized annular ring, "
-        f"errors averaged over r_i", columns, rows)
+        f"errors averaged over r_i", *table2_rows(table_histories))
     print()
     print(table)
     (out / "table2.txt").write_text(table + "\n")
 
-    curves = error_curves(histories, var="v")
-    curves_to_csv(curves, out / "figure3_v_error_vs_time.csv")
-    chart = render_curves(curves, "Figure 3: AR v-error vs wall time (s)")
+    write_curves_csv({"annular_ring": histories},
+                     out / "figure3_v_error_vs_time.csv", var="v")
+    chart = render_curves(histories, var="v",
+                          title="Figure 3: AR v-error vs wall time (s)")
     print()
     print(chart)
     (out / "figure3.txt").write_text(chart + "\n")
 
-    fig4 = pressure_error_fields(results, config, r_inner=1.0)
+    fig4 = pressure_error_fields({m.label: m for m in suite}, config,
+                                 r_inner=1.0)
     np.savez_compressed(out / "figure4_pressure_error_fields.npz",
                         xs=fig4["xs"], ys=fig4["ys"], mask=fig4["mask"],
                         **{f"err_{k}": v for k, v in fig4["fields"].items()})

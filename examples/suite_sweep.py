@@ -16,7 +16,7 @@ Usage::
 import argparse
 
 import repro
-from repro.experiments import suite_table
+from repro.experiments import format_table, sweep_rows
 
 
 def main():
@@ -39,7 +39,9 @@ def main():
                     steps=args.steps, verbose=True))
 
     print()
-    print(suite_table(suite))
+    print(format_table(f"{args.problem} sweep: min errors and "
+                       f"time-to-threshold [s]",
+                       *sweep_rows(suite.histories())))
     print(f"\nsweep total: {suite.total_seconds:.1f}s "
           f"({suite.backend} backend, {len(suite)} methods)")
 

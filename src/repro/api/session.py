@@ -156,7 +156,8 @@ def train_run(trainer, prob, config, *, sampler, seed, steps, label,
               compile=False, trace=False):
     """The lifecycle of every training run, serial or data-parallel.
 
-    In order: open (or, with ``resume``, re-open) the ``store`` record,
+    In order: refuse a zero recording cadence (before any record opens),
+    open (or, with ``resume``, re-open) the ``store`` record,
     stream the history into it, install the per-run tracer, call
     ``trainer.train`` once, then mark the record stopped if training
     raised or finish it otherwise, and return the
@@ -166,6 +167,7 @@ def train_run(trainer, prob, config, *, sampler, seed, steps, label,
     (``default``/``none``/``custom``); the other arguments are
     :func:`run_problem`'s, resolved.
     """
+    Trainer.check_cadence(config.validate_every, config.record_every)
     dp = trainer.dp
     recorder = history = clock = last_errors = None
     start_step = 0

@@ -77,13 +77,15 @@ def _cmd_info(args):
         ("solvers", "reference CFD (LDC, annular ring), Ghia tables"),
         ("training", "constraints, trainer, validators"),
         ("experiments", "Table 1/2 + Figures 2-4 harness, suites + "
-                        "cross-problem benchmark matrix"),
+                        "cross-problem benchmark matrix; report: the one "
+                        "table/curve path for sweeps and stored runs"),
         ("exec", "pluggable sweep placement: serial, process pool, "
                  "store-backed job queue + `repro worker` daemons"),
         ("dp", "data-parallel single-method training: sharded "
                "collocation clouds, deterministic tree allreduce"),
         ("store", "persistent run store: TOML configs, resumable "
-                  "checkpointed runs, figures from records"),
+                  "checkpointed runs; tables and figures of records via "
+                  "experiments.report"),
         ("analysis", "project lint rules + autodiff tape analyzer "
                      "(repro lint / repro analyze tape)"),
     ]
@@ -93,23 +95,20 @@ def _cmd_info(args):
 
 
 def _cmd_table(args, which):
-    backend = "process" if args.parallel else "serial"
+    from repro.experiments import (
+        annular_ring_config, ar_methods, format_table, ldc_config,
+        ldc_methods, run_suite, table1_rows, table2_rows)
     if which == 1:
-        from repro.experiments import (
-            format_table, ldc_config, run_ldc_suite, table1_rows)
         config = ldc_config(args.scale)
-        results = run_ldc_suite(config, backend=backend)
-        histories = {k: r.history for k, r in results.items()}
-        columns, rows = table1_rows(histories)
-        print(format_table(f"Table 1 (scale={args.scale})", columns, rows))
+        problem, methods, rows_of = "ldc", ldc_methods(config), table1_rows
     else:
-        from repro.experiments import (
-            annular_ring_config, format_table, run_ar_suite, table2_rows)
         config = annular_ring_config(args.scale)
-        results = run_ar_suite(config, backend=backend)
-        histories = {k: r.history for k, r in results.items()}
-        columns, rows = table2_rows(histories)
-        print(format_table(f"Table 2 (scale={args.scale})", columns, rows))
+        problem, methods, rows_of = ("annular_ring", ar_methods(config),
+                                     table2_rows)
+    suite = run_suite(problem, methods, config=config, verbose=True,
+                      backend="process" if args.parallel else "serial")
+    print(format_table(f"Table {which} (scale={args.scale})",
+                       *rows_of(suite.histories())))
     return 0
 
 
@@ -253,7 +252,8 @@ def _print_cell_utilization(obs_data, total_seconds):
 
 
 def _cmd_suite(args):
-    from repro.experiments import resolve_methods, run_suite, suite_table
+    from repro.experiments import (format_table, resolve_methods, run_suite,
+                                   sweep_rows)
     samplers = (None if args.samplers is None
                 else [s.strip() for s in args.samplers.split(",") if s.strip()])
 
@@ -309,7 +309,9 @@ def _cmd_suite(args):
         print(f"error: {exc.args[0]}")
         return 2
     print()
-    print(suite_table(suite))
+    print(format_table(f"Suite ({suite.problem}, backend={suite.backend}): "
+                       f"min errors and time-to-threshold [s]",
+                       *sweep_rows(suite.histories())))
     print(f"\nsweep total: {suite.total_seconds:.1f}s "
           f"({suite.backend} backend, {len(suite)} methods)")
     if args.trace:
@@ -342,7 +344,10 @@ def _cmd_matrix(args):
         print(f"error: {exc.args[0]}")
         return 2
     print()
-    print(matrix_table(matrix))
+    print(matrix_table(matrix.histories(),
+                       f"Benchmark matrix ({len(matrix.problems)} problems "
+                       f"x {max(len(s) for s in matrix)} methods, "
+                       f"backend={matrix.backend})"))
     print(f"\nmatrix total: {matrix.total_seconds:.1f}s "
           f"({matrix.backend} backend, {len(matrix.problems)} problems, "
           f"{matrix.n_cells} cells)")
@@ -474,7 +479,8 @@ def _cmd_runs_profile(store, args):
 
 
 def _cmd_runs_compare(store, args):
-    from repro.store import compare_table
+    from repro.experiments import (compare_table, stored_baselines,
+                                   stored_histories)
     if args.run_ids:
         records = [store.open(run_id) for run_id in args.run_ids]
     else:
@@ -485,13 +491,18 @@ def _cmd_runs_compare(store, args):
         return 2
     variables = (None if args.variables is None else
                  [v.strip() for v in args.variables.split(",") if v.strip()])
-    print(compare_table(records, baseline=args.baseline,
-                        variables=variables))
+    try:
+        baselines = stored_baselines(records, args.baseline)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}")
+        return 2
+    print(compare_table(stored_histories(records), baselines, variables))
     return 0
 
 
 def _cmd_runs_plot(store, args):
-    from repro.store import curves_by_problem, render_curves, write_curves_csv
+    from repro.experiments import (render_curves, stored_histories,
+                                   write_curves_csv)
     if args.run_ids:
         records = [store.open(run_id) for run_id in args.run_ids]
     else:
@@ -504,9 +515,9 @@ def _cmd_runs_plot(store, args):
     # per problem, like `runs compare` (histories parse once and feed
     # both the charts and the CSV export)
     what = "training loss" if args.var == "loss" else f"err({args.var})"
-    grouped = curves_by_problem(records, var=args.var)
-    for problem, curves in grouped.items():
-        print(render_curves(curves, var=args.var,
+    grouped = stored_histories(records)
+    for problem, histories in grouped.items():
+        print(render_curves(histories, var=args.var,
                             title=f"Convergence vs wall time ({problem}): "
                                   f"{what}",
                             width=args.width, height=args.height))
@@ -772,8 +783,9 @@ def build_parser():
                         "--problem)")
     q.add_argument("--problem", default=None)
     q.add_argument("--baseline", default=None,
-                   help="run id or label whose best errors set the "
-                        "thresholds (default: first run)")
+                   help="run id, label or label#idtail whose best errors "
+                        "set the thresholds (default: first run); a name "
+                        "no compared run has exits 2")
     q.add_argument("--variables", default=None,
                    help="comma-separated error variables (default: all)")
     q = runs_sub.add_parser("plot", help="convergence-vs-time figure "

@@ -1,4 +1,5 @@
-"""Experiment harness: configs, problems, runner, tables, figures."""
+"""Experiment harness: configs, problems, sweeps, and the one reporting
+path (:mod:`repro.experiments.report`) for their tables and figures."""
 
 from .configs import (
     LDCConfig, AnnularRingConfig, BurgersConfig, Poisson3DConfig,
@@ -20,23 +21,18 @@ from .inverse_burgers import (
     build_inverse_burgers_problem, inverse_burgers_validators,
 )
 from .ns3d import build_ns3d_problem, ns3d_validator
-from .runner import (
-    MethodSpec, RunResult,
-    run_ldc_suite, run_ar_suite, ldc_methods, ar_methods,
-)
+from .runner import MethodSpec, RunResult, ldc_methods, ar_methods
 from .suite import (
     MethodResult, SamplerStats, SuiteResult, method_label,
     methods_from_samplers, resolve_methods, run_suite,
 )
-from .matrix import (
-    MatrixResult, matrix_table, resolve_problems, run_matrix,
+from .matrix import MatrixResult, resolve_problems, run_matrix
+from .report import (
+    compare_rows, compare_table, format_table, history_curves, matrix_table,
+    render_curves, stored_baselines, stored_histories, sweep_rows,
+    table1_rows, table2_rows, write_curves_csv,
 )
-from .tables import (
-    table1_rows, table2_rows, suite_rows, suite_table, format_table,
-)
-from .figures import (
-    error_curves, curves_to_csv, render_curves, pressure_error_fields,
-)
+from .figures import pressure_error_fields
 
 __all__ = [
     "LDCConfig", "AnnularRingConfig", "BurgersConfig", "Poisson3DConfig",
@@ -53,12 +49,12 @@ __all__ = [
     "build_inverse_burgers_problem", "inverse_burgers_validators",
     "build_ns3d_problem", "ns3d_validator",
     "MethodSpec", "RunResult",
-    "run_ldc_suite", "run_ar_suite", "ldc_methods", "ar_methods",
+    "ldc_methods", "ar_methods",
     "MethodResult", "SamplerStats", "SuiteResult",
     "method_label", "methods_from_samplers", "resolve_methods", "run_suite",
-    "MatrixResult", "matrix_table", "resolve_problems", "run_matrix",
-    "table1_rows", "table2_rows", "suite_rows", "suite_table",
-    "format_table",
-    "error_curves", "curves_to_csv", "render_curves",
+    "MatrixResult", "resolve_problems", "run_matrix",
+    "compare_rows", "compare_table", "format_table", "history_curves",
+    "matrix_table", "render_curves", "stored_baselines", "stored_histories",
+    "sweep_rows", "table1_rows", "table2_rows", "write_curves_csv",
     "pressure_error_fields",
 ]

@@ -1,41 +1,17 @@
-"""Figure regeneration: error-vs-time curves (Fig. 2/3) and pressure-error
-fields (Fig. 4), emitted as CSV series plus ASCII charts."""
+"""Figure 4: pressure-error fields of trained annular-ring networks.
+
+The error-vs-time curves of Figures 2/3 are drawn from histories alone by
+:mod:`repro.experiments.report`.
+"""
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
 from ..pde import Fields
-from ..utils import ascii_plot
 from .annular_ring import OUTPUT_NAMES, PARAM_NAMES, ar_reference
 
-__all__ = ["error_curves", "curves_to_csv", "render_curves",
-           "pressure_error_fields"]
-
-
-def error_curves(histories, var="v"):
-    """Extract ``{label: (wall_times, errors)}`` for one variable."""
-    return {label: history.error_series(var)
-            for label, history in histories.items()}
-
-
-def curves_to_csv(curves, path):
-    """Write the figure series in long format (label, wall_time, error)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "wall_time", "error"])
-        for label, (times, errors) in curves.items():
-            for t, e in zip(times, errors):
-                writer.writerow([label, t, e])
-
-
-def render_curves(curves, title, logy=True):
-    """ASCII rendering of a figure (used by the bench harness stdout)."""
-    series = [(times, errors, label)
-              for label, (times, errors) in curves.items() if len(times)]
-    return ascii_plot(series, logy=logy, title=title)
+__all__ = ["pressure_error_fields"]
 
 
 def pressure_error_fields(results, config, r_inner=1.0):
@@ -44,7 +20,9 @@ def pressure_error_fields(results, config, r_inner=1.0):
     Parameters
     ----------
     results:
-        ``{label: RunResult}`` with trained networks.
+        ``{label: result}`` where each result carries its trained ``.net``
+        (a suite's :class:`~repro.experiments.MethodResult` or a
+        :class:`~repro.api.RunResult`).
     config:
         The annular-ring config (for the reference grid).
 

@@ -27,9 +27,8 @@ from ..api.registry import problem_registry
 from ..exec import resolve_backend
 from .suite import (SuiteResult, _make_task, _train_method,
                     resolve_methods)
-from .tables import suite_table
 
-__all__ = ["MatrixResult", "matrix_table", "resolve_problems", "run_matrix"]
+__all__ = ["MatrixResult", "resolve_problems", "run_matrix"]
 
 
 def resolve_problems(problems=None):
@@ -109,26 +108,14 @@ class MatrixResult:
                 for problem, suite in self.suites.items()}
 
     def histories(self):
-        """``{problem: {label: History}}`` for figures/tables."""
+        """``{problem: {label: History}}`` for
+        :mod:`repro.experiments.report`."""
         return {problem: suite.histories()
                 for problem, suite in self.suites.items()}
 
     def run_ids(self):
         """Store record ids of every cell (``None`` entries dropped)."""
         return [m.run_id for _, m in self.cells() if m.run_id is not None]
-
-
-def matrix_table(matrix, title=None):
-    """Render a :class:`MatrixResult` as one aligned table per problem."""
-    if title is None:
-        title = (f"Benchmark matrix ({len(matrix.problems)} problems x "
-                 f"{max((len(s) for s in matrix), default=0)} methods, "
-                 f"backend={matrix.backend})")
-    blocks = [title]
-    for problem, suite in matrix.suites.items():
-        blocks.append(suite_table(suite, title=f"[{problem}] min errors "
-                                               f"and time-to-threshold [s]"))
-    return "\n\n".join(blocks)
 
 
 def run_matrix(problems=None, methods=None, *, backend="process",

@@ -10,17 +10,17 @@ only the sampler (and, per the paper, dataset/batch size) differs:
 * ``SGM-S``    — SGM-PINN with the ISR stability term (S1-S4)
 
 :func:`ldc_methods` / :func:`ar_methods` list the columns, and
-:func:`run_ldc_suite` / :func:`run_ar_suite` train them through
-:func:`repro.experiments.run_suite`.  A single method trains through
-:class:`repro.api.Session` (``repro run ldc --sampler mis``).
+:func:`repro.experiments.run_suite` trains them
+(``run_suite("ldc", ldc_methods(config), config=config)``).  A single
+method trains through :class:`repro.api.Session`
+(``repro run ldc --sampler mis``).
 """
 
 from __future__ import annotations
 
 from ..api.types import MethodSpec, RunResult
 
-__all__ = ["MethodSpec", "RunResult",
-           "run_ldc_suite", "run_ar_suite", "ldc_methods", "ar_methods"]
+__all__ = ["MethodSpec", "RunResult", "ldc_methods", "ar_methods"]
 
 
 def ldc_methods(config):
@@ -54,32 +54,3 @@ def ar_methods(config, include_plain_sgm=False):
     methods.append(MethodSpec(f"SGM-S{config.batch_small}", "sgm_s",
                               config.n_interior_small, config.batch_small))
     return methods
-
-
-def run_ldc_suite(config, methods=None, verbose=True, backend="serial",
-                  max_workers=None):
-    """Train all Table-1 methods; returns ``{label: RunResult}``.
-
-    Thin wrapper over the registry-driven :func:`repro.experiments.run_suite`
-    engine, kept for the Table-1 call sites; pass ``backend="process"`` to
-    shard the sweep over a process pool.
-    """
-    from .suite import run_suite
-    methods = methods if methods is not None else ldc_methods(config)
-    suite = run_suite("ldc", methods, backend=backend,
-                      max_workers=max_workers, config=config, verbose=verbose)
-    return suite.run_results()
-
-
-def run_ar_suite(config, include_plain_sgm=False, verbose=True,
-                 backend="serial", max_workers=None):
-    """Train all Table-2 methods; returns ``{label: RunResult}``.
-
-    Thin wrapper over :func:`repro.experiments.run_suite`; pass
-    ``backend="process"`` to shard the sweep over a process pool.
-    """
-    from .suite import run_suite
-    methods = ar_methods(config, include_plain_sgm=include_plain_sgm)
-    suite = run_suite("annular_ring", methods, backend=backend,
-                      max_workers=max_workers, config=config, verbose=verbose)
-    return suite.run_results()

@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import obs
 from ..api.registry import sampler_registry
-from ..api.types import MethodSpec, RunResult, SamplerStats
+from ..api.types import MethodSpec, SamplerStats
 
 __all__ = [
     "MethodResult", "SamplerStats", "SuiteResult", "method_label",
@@ -144,13 +144,6 @@ class MethodResult:
         """The trained network's ``state_dict``."""
         return self.net.state_dict()
 
-    def to_run_result(self, config=None):
-        """Adapt to the :class:`~repro.api.RunResult` shape legacy callers
-        (tables, figures, examples) consume."""
-        return RunResult(label=self.label, history=self.history,
-                         net=self.net, sampler=self.sampler_stats,
-                         config=config)
-
 
 @dataclass
 class SuiteResult:
@@ -171,16 +164,8 @@ class SuiteResult:
         return [m.label for m in self.methods]
 
     def histories(self):
-        """``{label: History}`` for the table/figure formatters."""
+        """``{label: History}`` for :mod:`repro.experiments.report`."""
         return {m.label: m.history for m in self.methods}
-
-    def timings(self):
-        """``{label: training wall seconds}`` measured inside each worker."""
-        return {m.label: m.wall_seconds for m in self.methods}
-
-    def run_results(self):
-        """``{label: RunResult}`` with the trained networks."""
-        return {m.label: m.to_run_result(self.config) for m in self.methods}
 
     def __len__(self):
         return len(self.methods)

@@ -12,14 +12,13 @@ process.  This package provides:
   that resolve into the registered problem/sampler machinery
   (``repro run --config exp.toml``);
 * :func:`resume_run` — continue a stored run from its newest checkpoint
-  with a bit-identical loss trajectory;
-* :func:`compare_rows` / :func:`compare_table` — Table-1-style cross-run
-  speedup tables computed from stored records alone, grouped per problem
-  when the store spans a benchmark matrix (``repro runs compare``);
-* :func:`render_convergence` / :func:`save_convergence_csv` —
-  convergence-vs-time figures (loss or validation error against the
-  recorded wall clock) regenerated from ``history.jsonl`` alone
-  (``repro runs plot``).
+  with a bit-identical loss trajectory.
+
+Tables and figures of stored runs (``repro runs compare`` / ``repro runs
+plot``) come from :mod:`repro.experiments.report`, the one reporting
+module: :func:`~repro.experiments.report.stored_histories` turns records
+into ``{problem: {label: History}}`` and the same table and curve
+functions a live sweep uses render them.
 
 Typical use::
 
@@ -34,13 +33,8 @@ Typical use::
     resumed = resume_run(store, result.run_id, steps=400)
 """
 
-from .compare import (compare_by_problem, compare_rows, compare_table,
-                      group_by_problem)
 from .config import (RunConfig, config_from_tables, config_to_tables,
                      load_run_config)
-from .figures import (convergence_curves, curves_by_problem, render_curves,
-                      render_convergence, save_convergence_csv,
-                      write_curves_csv)
 from .resume import resume_run
 from .retention import keep_best_victims, run_score
 from .run_store import (STORE_ROOT_ENV, RunRecord, RunRecorder, RunStore,
@@ -51,9 +45,6 @@ __all__ = [
     "RunStore", "RunRecord", "RunRecorder", "STORE_ROOT_ENV",
     "RunConfig", "load_run_config", "config_to_tables", "config_from_tables",
     "resume_run", "keep_best_victims", "run_score",
-    "compare_rows", "compare_table", "compare_by_problem",
-    "group_by_problem", "history_from_jsonl",
-    "convergence_curves", "curves_by_problem", "render_curves",
-    "render_convergence", "save_convergence_csv", "write_curves_csv",
+    "history_from_jsonl",
     "save_training_checkpoint", "load_training_checkpoint",
 ]

@@ -461,6 +461,14 @@ class Trainer:
                        for s in self._shard_samplers[shard].values()))
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def check_cadence(validate_every, record_every):
+        """Refuse a validation or recording cadence below one step."""
+        for name, every in (("validate_every", validate_every),
+                            ("record_every", record_every)):
+            if every < 1:
+                raise ValueError(f"{name} must be >= 1, got {every}")
+
     def train(self, steps, validate_every=200, record_every=50, label="run",
               clock=None, start_step=0, history=None, last_errors=None,
               step_hooks=(), compile=False):
@@ -496,10 +504,7 @@ class Trainer:
         """
         history = history if history is not None else History(label=label)
         clock = clock if clock is not None else TrainingClock()
-        for name, every in (("validate_every", validate_every),
-                            ("record_every", record_every)):
-            if every < 1:
-                raise ValueError(f"{name} must be >= 1, got {every}")
+        self.check_cadence(validate_every, record_every)
         if self.dp is not None:
             if start_step != 0:
                 raise ValueError("data-parallel training does not support "

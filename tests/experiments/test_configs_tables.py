@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import (
     annular_ring_config, format_table, ldc_config, table1_rows, table2_rows,
-    error_curves, render_curves, curves_to_csv,
+    history_curves, render_curves, write_curves_csv,
 )
 from repro.training import History
 
@@ -105,18 +105,20 @@ class TestTables:
 
 
 class TestFigures:
-    def test_error_curves_and_render(self):
+    def test_history_curves_and_render(self):
         histories = {"U128": synthetic_history("U128", 0.3)}
-        curves = error_curves(histories, var="v")
+        curves = history_curves(histories, var="v")
         times, errors = curves["U128"]
         assert len(times) == 10
-        chart = render_curves(curves, "demo fig")
-        assert "demo fig" in chart
+        assert errors == list(histories["U128"].error_series("v")[1])
+        chart = render_curves(histories, var="v", title="demo fig")
+        assert "demo fig" in chart and "log10(err(v))" in chart
 
     def test_curves_csv(self, tmp_path):
         histories = {"A": synthetic_history("A", 0.3, n=5)}
         path = tmp_path / "fig.csv"
-        curves_to_csv(error_curves(histories, "u"), path)
+        write_curves_csv({"ldc": histories}, path, var="u")
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "label,wall_time,error"
+        assert lines[0] == "problem,label,wall_time,err_u"
         assert len(lines) == 6
+        assert all(line.startswith("ldc,A,") for line in lines[1:])

@@ -68,9 +68,12 @@ def test_run_matrix_serial_returns_grid_grouped_by_problem():
 def test_matrix_table_renders_one_block_per_problem():
     matrix = run_matrix(PROBLEMS, ["uniform"], backend="serial",
                         scale="smoke", steps=3)
-    text = matrix_table(matrix)
-    assert "[burgers]" in text and "[poisson3d]" in text
-    assert "2 problems" in text
+    text = matrix_table(matrix.histories(), "demo matrix")
+    blocks = text.split("\n\n")
+    assert blocks[0] == "demo matrix" and len(blocks) == 3
+    assert blocks[1].startswith("[burgers]")
+    assert blocks[2].startswith("[poisson3d]")
+    assert all("train wall [s]" in block for block in blocks[1:])
 
 
 def test_run_matrix_rejects_unknown_backend():

@@ -108,7 +108,7 @@ class TestRunnerSmoke:
         method = ldc_methods(config)[0]
         suite = run_suite("ldc", [method], backend="serial", config=config,
                           steps=12)
-        (result,) = suite.run_results().values()
+        (result,) = suite
         assert len(result.history.steps) >= 2
         assert np.isfinite(result.history.losses[-1])
         assert result.net.num_parameters() > 0

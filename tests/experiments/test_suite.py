@@ -6,8 +6,8 @@ import pytest
 import repro
 from repro.api import MethodSpec
 from repro.experiments import (
-    SuiteResult, burgers_config, ldc_config, method_label,
-    methods_from_samplers, resolve_methods, run_suite, suite_table,
+    SuiteResult, burgers_config, format_table, ldc_config, method_label,
+    methods_from_samplers, resolve_methods, run_suite, sweep_rows,
 )
 
 SAMPLERS = ("uniform", "mis", "sgm", "sgm_s")
@@ -63,8 +63,8 @@ def test_run_suite_serial_returns_ordered_suiteresult():
     assert suite.labels == ["U32", "SGM32"]
     assert len(suite) == 2
     assert set(suite.histories()) == {"U32", "SGM32"}
-    assert all(t > 0 for t in suite.timings().values())
-    assert suite.total_seconds >= max(suite.timings().values())
+    assert all(m.wall_seconds > 0 for m in suite)
+    assert suite.total_seconds >= max(m.wall_seconds for m in suite)
     with pytest.raises(KeyError, match="unknown method label"):
         suite["nope"]
 
@@ -77,25 +77,34 @@ def test_run_suite_rejects_unknown_problem_and_backend():
                   steps=1)
 
 
-def test_run_results_reconstruct_trained_networks():
+def test_method_results_carry_trained_networks():
+    from repro.api.problems import build_problem
+    from repro.api.session import run_problem
     config = burgers_config("smoke")
     suite = run_suite("burgers", ["uniform"], backend="serial",
                       config=config, steps=4)
-    results = suite.run_results()
-    (result,) = results.values()
-    # the rebuilt net must carry the exact trained parameters
-    state = result.net.state_dict()
-    for key, value in suite.methods[0].net_state.items():
+    (method,) = suite
+    # the shipped net carries exactly the parameters a direct run trains
+    prob = build_problem("burgers", config, method.spec.n_interior,
+                         np.random.default_rng(method.seed))
+    direct = run_problem(prob, config, sampler="uniform",
+                         batch_size=method.spec.batch_size, seed=method.seed,
+                         steps=4)
+    state = direct.net.state_dict()
+    for key, value in method.net_state.items():
         assert np.array_equal(state[key], value)
-    assert result.sampler.probe_points == suite.methods[0].probe_points
+    assert method.probe_points == direct.sampler.probe_points
 
 
 def test_suite_table_renders_all_columns():
     suite = run_suite("burgers", ["uniform", "mis"], backend="serial",
                       scale="smoke", steps=4)
-    text = suite_table(suite)
+    columns, rows = sweep_rows(suite.histories())
+    text = format_table("sweep", columns, rows)
     assert "U32" in text and "MIS32" in text
-    assert "train wall [s]" in text
+    # the wall row is the History clock, the one the T(...) rows use
+    assert dict(rows)["train wall [s]"] == {
+        m.label: m.history.wall_times[-1] for m in suite}
 
 
 @pytest.mark.parametrize("problem", sorted(repro.list_problems()))

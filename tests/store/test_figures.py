@@ -1,4 +1,8 @@
-"""Convergence-vs-time figures must render from stored records alone."""
+"""Convergence-vs-time figures must render from stored records alone.
+
+Stored runs enter :mod:`repro.experiments.report` through
+:func:`stored_histories`; the curve functions are the ones live sweeps use.
+"""
 
 import csv
 
@@ -6,8 +10,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.store import (RunStore, convergence_curves, render_convergence,
-                         save_convergence_csv)
+from repro.experiments.report import (history_curves, render_curves,
+                                      stored_histories, write_curves_csv)
+from repro.store import RunStore
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +28,16 @@ def store(tmp_path_factory):
     return store
 
 
-def _fresh_records(store):
+def _fresh_histories(store):
     """Reload through a brand-new RunStore: no live objects survive."""
-    return list(reversed(RunStore(store.root).runs(status="completed")))
+    grouped = stored_histories(
+        reversed(RunStore(store.root).runs(status="completed")))
+    assert list(grouped) == ["burgers"]
+    return grouped["burgers"]
 
 
 def test_loss_curves_from_store_alone(store):
-    curves = convergence_curves(_fresh_records(store))
+    curves = history_curves(_fresh_histories(store))
     assert set(curves) == {"uniform-col", "sgm-col"}
     for times, losses in curves.values():
         assert len(times) == len(losses) > 0
@@ -38,34 +46,35 @@ def test_loss_curves_from_store_alone(store):
 
 
 def test_error_variable_curves(store):
-    curves = convergence_curves(_fresh_records(store), var="u")
+    curves = history_curves(_fresh_histories(store), var="u")
     for times, errors in curves.values():
         assert len(times) == len(errors) > 0
         assert all(e >= 0 for e in errors)
 
 
 def test_unvalidated_variable_gives_empty_series(store):
-    curves = convergence_curves(_fresh_records(store), var="not_a_var")
+    curves = history_curves(_fresh_histories(store), var="not_a_var")
     assert all(len(times) == 0 for times, _ in curves.values())
 
 
-def test_render_convergence_ascii(store):
-    text = render_convergence(_fresh_records(store))
-    assert "Convergence vs wall time (burgers)" in text
+def test_render_curves_ascii(store):
+    text = render_curves(_fresh_histories(store), title="demo (burgers)")
+    assert "demo (burgers)" in text
     assert "uniform-col" in text and "sgm-col" in text
     assert "log10(loss)" in text
-    text_u = render_convergence(_fresh_records(store), var="u")
+    text_u = render_curves(_fresh_histories(store), var="u")
     assert "err(u)" in text_u
 
 
 def test_render_handles_empty_series(store):
-    text = render_convergence(_fresh_records(store), var="not_a_var")
+    text = render_curves(_fresh_histories(store), var="not_a_var")
     assert "no data" in text
 
 
-def test_save_convergence_csv_roundtrip(store, tmp_path):
+def test_write_curves_csv_roundtrip(store, tmp_path):
     path = tmp_path / "fig.csv"
-    save_convergence_csv(_fresh_records(store), path, var="loss")
+    grouped = stored_histories(RunStore(store.root).runs())
+    write_curves_csv(grouped, path, var="loss")
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["problem", "label", "wall_time", "loss"]
@@ -83,11 +92,11 @@ def test_duplicate_labels_disambiguated_by_id_tail(tmp_path):
                .config(record_every=2).n_interior(300).validators([]))
     for _ in range(2):
         session.train(steps=4, store=store, label="same")
-    curves = convergence_curves(RunStore(store.root).runs())
-    assert len(curves) == 2
-    assert any(label.startswith("same#") for label in curves)
+    (histories,) = stored_histories(RunStore(store.root).runs()).values()
+    assert len(histories) == 2
+    assert any(label.startswith("same#") for label in histories)
 
 
 def test_no_records_raises():
     with pytest.raises(ValueError, match="no runs"):
-        convergence_curves([])
+        stored_histories([])

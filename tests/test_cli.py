@@ -202,17 +202,46 @@ class TestRunConfigAndStore:
         assert main(["run", "--config", str(bad)]) == 2
         assert "problem" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("field", ["tau_e", "validate_every"])
+    @pytest.mark.parametrize("field",
+                             ["tau_e", "validate_every", "record_every"])
     def test_zero_cadence_is_a_config_error(self, tmp_path, capsys, field):
         config = tmp_path / "exp.toml"
-        store_root = (tmp_path / "runs").as_posix()
+        store_root = tmp_path / "runs"
         config.write_text('[run]\nproblem = "burgers"\nsampler = "sgm"\n'
                           'scale = "smoke"\nsteps = 5\nn_interior = 300\n'
                           f'\n[config]\n{field} = 0\n'
-                          f'\n[store]\nroot = "{store_root}"\n')
+                          f'\n[store]\nroot = "{store_root.as_posix()}"\n')
         assert main(["run", "--config", str(config)]) == 2
         out = capsys.readouterr().out
         assert "error:" in out and f"{field} must be >= 1" in out
+        # refused before any record opens: no failed run left behind
+        assert not store_root.exists() or not any(
+            path.is_dir() for path in store_root.iterdir())
+
+    def test_compare_unknown_baseline_exits_2_with_the_labels(self, tmp_path,
+                                                              capsys):
+        import repro
+        store = tmp_path / "runs"
+        session = (repro.problem("burgers", scale="smoke")
+                   .config(record_every=2).n_interior(300))
+        for _ in range(2):
+            session.sampler("uniform").train(steps=4, store=store,
+                                             label="same")
+        from repro.store import RunStore
+        second = RunStore(store).runs()[0].run_id     # newest first
+        capsys.readouterr()
+
+        args = ["runs", "--store", str(store), "compare", "--problem",
+                "burgers"]
+        assert main([*args, "--baseline", "nope"]) == 2
+        out = capsys.readouterr().out
+        assert "error: baseline 'nope'" in out
+        assert f"burgers: same, same#{second[-6:]}" in out
+        assert "Stored runs" not in out
+
+        # the disambiguated column label names the second run
+        assert main([*args, "--baseline", f"same#{second[-6:]}"]) == 0
+        assert f"speedup(u) vs same#{second[-6:]}" in capsys.readouterr().out
 
     def test_runs_list_show_compare_resume_gc(self, tmp_path, capsys):
         config = self._write_config(tmp_path, tmp_path / "runs")
