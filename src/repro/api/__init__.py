@@ -10,9 +10,10 @@ This layer replaces the dict-based experiment plumbing with three pieces:
 * :class:`Session` — the fluent entry point:
   ``repro.problem("ldc").sampler("sgm").train(steps=...)``.
 
-Importing this package registers the built-in problems (``ldc``,
-``annular_ring``, ``burgers``, ``poisson3d``) and samplers (``uniform``,
-``mis``, ``sgm``, ``sgm_s``).
+Importing this package registers the seven built-in problems (``ldc``,
+``annular_ring``, ``burgers``, ``poisson3d``, ``advection_diffusion``,
+``inverse_burgers``, ``ns3d``; see :mod:`repro.api.problems`) and the
+samplers (``uniform``, ``mis``, ``sgm``, ``sgm_s``).
 """
 
 from .types import MethodSpec, RunResult
@@ -20,7 +21,7 @@ from .registry import (
     ProblemEntry, Registry, SamplerEntry, list_problems, list_samplers,
     problem_registry, register_problem, register_sampler, sampler_registry,
 )
-from ._problem import Problem
+from ..training import Problem
 from .samplers import make_sampler
 from .problems import build_problem
 from .session import Session, problem, run_problem

@@ -1,36 +1,49 @@
 """Built-in problem registrations: ldc, annular_ring, burgers, poisson3d,
 advection_diffusion, inverse_burgers, ns3d.
 
-Each builder wraps the corresponding :mod:`repro.experiments` problem
-module into a :class:`Problem`, closing the config over the validator
-factory so a :class:`~repro.api.Session` (or any caller) can materialise
-validators without re-plumbing configuration.  The first line of each
-builder's docstring is the registry description ``repro problems`` prints.
+Each ``build_<name>_problem`` in :mod:`repro.experiments` returns a
+:class:`~repro.training.Problem` with its validator factory closed over the
+config, so a :class:`~repro.api.Session` (or any caller) can materialise
+validators without re-plumbing configuration.  Registration lives here, not
+beside the builders, so :mod:`repro.experiments` never imports the API
+layer.  The summary of each builder's docstring is the registry
+description ``repro problems`` prints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..experiments.advection_diffusion import (
-    advection_diffusion_validator, build_advection_diffusion_problem,
-)
-from ..experiments.annular_ring import ar_validators, build_ar_problem
-from ..experiments.burgers import build_burgers_problem, burgers_validator
+from ..experiments.advection_diffusion import build_advection_diffusion_problem
+from ..experiments.annular_ring import build_ar_problem
+from ..experiments.burgers import build_burgers_problem
 from ..experiments.configs import (
     advection_diffusion_config, annular_ring_config, burgers_config,
     inverse_burgers_config, ldc_config, ns3d_config, poisson3d_config,
 )
-from ..experiments.inverse_burgers import (
-    build_inverse_burgers_problem, inverse_burgers_validators,
-)
-from ..experiments.ldc import build_ldc_problem, ldc_validator
-from ..experiments.ns3d import build_ns3d_problem, ns3d_validator
-from ..experiments.poisson3d import build_poisson3d_problem, poisson3d_validator
-from ._problem import Problem
+from ..experiments.inverse_burgers import build_inverse_burgers_problem
+from ..experiments.ldc import build_ldc_problem
+from ..experiments.ns3d import build_ns3d_problem
+from ..experiments.poisson3d import build_poisson3d_problem
 from .registry import problem_registry, register_problem
 
 __all__ = ["build_problem"]
+
+#: name -> (builder, config factory) for every built-in problem
+_BUILTINS = {
+    "ldc": (build_ldc_problem, ldc_config),
+    "annular_ring": (build_ar_problem, annular_ring_config),
+    "burgers": (build_burgers_problem, burgers_config),
+    "poisson3d": (build_poisson3d_problem, poisson3d_config),
+    "advection_diffusion": (build_advection_diffusion_problem,
+                            advection_diffusion_config),
+    "inverse_burgers": (build_inverse_burgers_problem,
+                        inverse_burgers_config),
+    "ns3d": (build_ns3d_problem, ns3d_config),
+}
+
+for _name, (_builder, _config_factory) in _BUILTINS.items():
+    register_problem(_name, config_factory=_config_factory)(_builder)
 
 
 def build_problem(name, config=None, n_interior=None, rng=None):
@@ -46,75 +59,3 @@ def build_problem(name, config=None, n_interior=None, rng=None):
                   else config.n_interior_small)
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     return entry.builder(config, n_interior, rng)
-
-
-@register_problem("ldc", config_factory=ldc_config)
-def _ldc(config, n_interior, rng):
-    """Lid-driven cavity, zero-equation turbulence (paper §4.1, Table 1)."""
-    data = build_ldc_problem(config, n_interior, rng)
-    return Problem.from_legacy(
-        "ldc", data, spatial_names=("x", "y"),
-        validator_factory=lambda vrng: [ldc_validator(config, vrng)])
-
-
-@register_problem("annular_ring", config_factory=annular_ring_config)
-def _annular_ring(config, n_interior, rng):
-    """Parameterized annular ring, r_inner in [0.75, 1.1] (paper §4.2,
-    Table 2)."""
-    data = build_ar_problem(config, n_interior, rng)
-    return Problem.from_legacy(
-        "annular_ring", data, spatial_names=("x", "y"),
-        validator_factory=lambda vrng: ar_validators(config, vrng))
-
-
-@register_problem("burgers", config_factory=burgers_config)
-def _burgers(config, n_interior, rng):
-    """Viscous Burgers travelling front over (x, t), validated against the
-    exact solution."""
-    data = build_burgers_problem(config, n_interior, rng)
-    return Problem.from_legacy(
-        "burgers", data,
-        validator_factory=lambda vrng: [burgers_validator(config, vrng)])
-
-
-@register_problem("poisson3d", config_factory=poisson3d_config)
-def _poisson3d(config, n_interior, rng):
-    """3-D Poisson in the unit cube, manufactured sin·sin·sin solution."""
-    data = build_poisson3d_problem(config, n_interior, rng)
-    return Problem.from_legacy(
-        "poisson3d", data,
-        validator_factory=lambda vrng: [poisson3d_validator(config, vrng)])
-
-
-@register_problem("advection_diffusion",
-                  config_factory=advection_diffusion_config)
-def _advection_diffusion(config, n_interior, rng):
-    """Scalar transport in a prescribed flow, manufactured exponential
-    solution."""
-    data = build_advection_diffusion_problem(config, n_interior, rng)
-    return Problem.from_legacy(
-        "advection_diffusion", data,
-        validator_factory=lambda vrng: [
-            advection_diffusion_validator(config, vrng)])
-
-
-@register_problem("inverse_burgers", config_factory=inverse_burgers_config)
-def _inverse_burgers(config, n_interior, rng):
-    """Inverse viscosity recovery: fit a trainable ν jointly with the net
-    from sparse Burgers sensor data."""
-    data = build_inverse_burgers_problem(config, n_interior, rng)
-    nu = data["extra_modules"]["nu"]
-    return Problem.from_legacy(
-        "inverse_burgers", data,
-        validator_factory=lambda vrng: inverse_burgers_validators(
-            config, nu, vrng))
-
-
-@register_problem("ns3d", config_factory=ns3d_config)
-def _ns3d(config, n_interior, rng):
-    """3-D Navier-Stokes with a third velocity output w, validated against
-    the manufactured Beltrami flow."""
-    data = build_ns3d_problem(config, n_interior, rng)
-    return Problem.from_legacy(
-        "ns3d", data,
-        validator_factory=lambda vrng: [ns3d_validator(config, vrng)])

@@ -56,6 +56,8 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
+import select
 import sys
 
 __all__ = ["main"]
@@ -964,9 +966,38 @@ def build_parser():
     return parser
 
 
+def _stdout_closed():
+    """Whether stdout is a pipe whose reader has gone (``repro ... | head``
+    exited); a file or a capture object never is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(mask & select.POLLERR for _, mask in poller.poll(0))
+
+
 def main(argv=None):
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns a process exit code.
+
+    A stdout closed by its reader is the normal end of output: the command
+    stops and exits 0 without a traceback.
+    """
+    try:
+        try:
+            return _dispatch(build_parser().parse_args(argv))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        if not _stdout_closed():
+            raise
+        # point stdout at devnull so the interpreter's exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+
+
+def _dispatch(args):
     if args.command == "info":
         return _cmd_info(args)
     if args.command == "run":

@@ -239,8 +239,7 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
                          "cannot be shipped to worker ranks")
     validators_mode = "default" if validators is None else "none"
 
-    n_shards = (int(n_shards) if n_shards is not None
-                else int(getattr(config, "dp_shards", DEFAULT_SHARDS)))
+    n_shards = int(n_shards) if n_shards is not None else DEFAULT_SHARDS
     world_size = int(world_size)
     if n_shards < 1 or world_size < 1:
         raise ValueError("n_shards and world_size must be positive")

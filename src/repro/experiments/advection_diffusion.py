@@ -16,7 +16,7 @@ import numpy as np
 from ..geometry import Rectangle
 from ..pde import AdvectionDiffusion2D
 from ..training import (
-    BoundaryConstraint, InteriorConstraint, PointwiseValidator,
+    BoundaryConstraint, InteriorConstraint, PointwiseValidator, Problem,
 )
 
 __all__ = ["build_advection_diffusion_problem", "advection_diffusion_exact",
@@ -41,12 +41,11 @@ def advection_diffusion_validator(config, rng):
 
 
 def build_advection_diffusion_problem(config, n_interior, rng):
-    """Construct clouds and constraints for one advection-diffusion run.
+    """Scalar transport in a prescribed flow, manufactured exponential
+    solution.
 
-    Returns
-    -------
-    dict with keys ``interior_cloud``, ``constraints``, ``output_names``,
-    ``spatial_names`` (same shape as the other problem builders).
+    One advection-diffusion run: the interior cloud with the prescribed
+    velocity as field sources, and walls carrying the exact solution.
     """
     square = Rectangle((0.0, 0.0), (1.0, 1.0))
     interior = square.sample_interior(n_interior, rng)
@@ -72,5 +71,8 @@ def build_advection_diffusion_problem(config, n_interior, rng):
                            batch_size=0, weight=config.boundary_weight,
                            spatial_names=SPATIAL_NAMES),
     ]
-    return {"interior_cloud": interior, "constraints": constraints,
-            "output_names": OUTPUT_NAMES, "spatial_names": SPATIAL_NAMES}
+    return Problem(
+        "advection_diffusion", constraints, interior, OUTPUT_NAMES,
+        SPATIAL_NAMES,
+        validator_factory=lambda vrng: [
+            advection_diffusion_validator(config, vrng)])

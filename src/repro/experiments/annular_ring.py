@@ -16,7 +16,9 @@ from ..geometry import (
 )
 from ..pde import NavierStokes2D
 from ..solvers import ANNULUS_DEFAULTS, get_or_compute, solve_annulus
-from ..training import BoundaryConstraint, InteriorConstraint, PointwiseValidator
+from ..training import (
+    BoundaryConstraint, InteriorConstraint, PointwiseValidator, Problem,
+)
 from ..utils import bilinear_interpolate
 
 __all__ = ["annular_ring_geometry", "build_ar_problem", "ar_validators",
@@ -97,7 +99,12 @@ def ar_validators(config, rng):
 
 
 def build_ar_problem(config, n_interior, rng):
-    """Construct clouds and constraints for one annular-ring run."""
+    """Parameterized annular ring, r_inner in [0.75, 1.1] (paper §4.2,
+    Table 2).
+
+    One annular-ring run: wall, inlet and outlet clouds carrying the
+    ``r_inner`` parameter column, validated at each validation radius.
+    """
     family = _geometry_family(config)
     space = family.param_space
     interior = family.sample_interior(n_interior, rng)
@@ -130,5 +137,7 @@ def build_ar_problem(config, n_interior, rng):
                            {"p": 0.0},
                            batch_size=0, weight=config.boundary_weight),
     ]
-    return {"interior_cloud": interior, "constraints": constraints,
-            "output_names": OUTPUT_NAMES, "param_space": space}
+    return Problem(
+        "annular_ring", constraints, interior, OUTPUT_NAMES, ("x", "y"),
+        validator_factory=lambda vrng: ar_validators(config, vrng),
+        param_space=space)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..geometry import Rectangle
 from ..pde import Burgers1D, burgers_travelling_wave
 from ..training import (
-    BoundaryConstraint, InteriorConstraint, PointwiseValidator,
+    BoundaryConstraint, InteriorConstraint, PointwiseValidator, Problem,
 )
 
 __all__ = ["build_burgers_problem", "burgers_exact", "burgers_validator",
@@ -42,12 +42,11 @@ def burgers_validator(config, rng):
 
 
 def build_burgers_problem(config, n_interior, rng):
-    """Construct clouds and constraints for one Burgers-front run.
+    """Viscous Burgers travelling front over (x, t), validated against the
+    exact solution.
 
-    Returns
-    -------
-    dict with keys ``interior_cloud``, ``constraints``, ``output_names``,
-    ``spatial_names`` (same shape as the LDC/annular-ring builders).
+    One Burgers-front run: the space-time interior plus the initial slice
+    and side walls carrying the exact solution.
     """
     domain = Rectangle(*DOMAIN)
     interior = domain.sample_interior(n_interior, rng)
@@ -67,5 +66,6 @@ def build_burgers_problem(config, n_interior, rng):
                            batch_size=0, weight=config.boundary_weight,
                            spatial_names=SPATIAL_NAMES),
     ]
-    return {"interior_cloud": interior, "constraints": constraints,
-            "output_names": OUTPUT_NAMES, "spatial_names": SPATIAL_NAMES}
+    return Problem(
+        "burgers", constraints, interior, OUTPUT_NAMES, SPATIAL_NAMES,
+        validator_factory=lambda vrng: [burgers_validator(config, vrng)])

@@ -10,10 +10,11 @@ are fitted jointly so the PDE residual and the
 :class:`~repro.training.DataConstraint` measurement misfit both vanish —
 which only happens at the true viscosity.
 
-The builder returns the coefficient under ``extra_modules`` so the engine
-(:func:`repro.api.run_problem`) folds its parameter into the optimizer and
-the run store checkpoints its state alongside the network — interrupted
-inverse runs resume bit-identically, coefficient included.
+The built :class:`~repro.training.Problem` carries the coefficient under
+``extra_modules`` so the engine (:func:`repro.api.run_problem`) folds its
+parameter into the optimizer and the run store checkpoints its state
+alongside the network — interrupted inverse runs resume bit-identically,
+coefficient included.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..geometry import PointCloud, Rectangle
 from ..pde import Burgers1D, TrainableCoefficient, burgers_travelling_wave
 from ..training import (
     CoefficientValidator, DataConstraint, InteriorConstraint,
-    PointwiseValidator,
+    PointwiseValidator, Problem,
 )
 
 __all__ = ["build_inverse_burgers_problem", "inverse_burgers_exact",
@@ -60,14 +61,12 @@ def inverse_burgers_validators(config, coefficient, rng):
 
 
 def build_inverse_burgers_problem(config, n_interior, rng):
-    """Construct clouds, constraints, and the trainable coefficient.
+    """Inverse viscosity recovery: fit a trainable ν jointly with the net
+    from sparse Burgers sensor data.
 
-    Returns
-    -------
-    dict with the usual builder keys (``interior_cloud``, ``constraints``,
-    ``output_names``, ``spatial_names``) plus ``extra_modules`` mapping
-    ``"nu"`` to the :class:`~repro.pde.TrainableCoefficient` the interior
-    PDE closes over.
+    One inverse run: the interior cloud, the sensor data constraint, and
+    ``extra_modules`` mapping ``"nu"`` to the
+    :class:`~repro.pde.TrainableCoefficient` the interior PDE closes over.
     """
     domain = Rectangle(*DOMAIN)
     interior = domain.sample_interior(n_interior, rng)
@@ -89,6 +88,8 @@ def build_inverse_burgers_problem(config, n_interior, rng):
                        batch_size=0, weight=config.data_weight,
                        spatial_names=SPATIAL_NAMES),
     ]
-    return {"interior_cloud": interior, "constraints": constraints,
-            "output_names": OUTPUT_NAMES, "spatial_names": SPATIAL_NAMES,
-            "extra_modules": {"nu": nu}}
+    return Problem(
+        "inverse_burgers", constraints, interior, OUTPUT_NAMES, SPATIAL_NAMES,
+        validator_factory=lambda vrng: inverse_burgers_validators(
+            config, nu, vrng),
+        extra_modules={"nu": nu})

@@ -12,7 +12,9 @@ from __future__ import annotations
 from ..geometry import Rectangle
 from ..pde import NavierStokes2D, ZeroEquationTurbulence
 from ..solvers import get_or_compute, solve_ldc
-from ..training import BoundaryConstraint, InteriorConstraint, PointwiseValidator
+from ..training import (
+    BoundaryConstraint, InteriorConstraint, PointwiseValidator, Problem,
+)
 from ..utils import bilinear_interpolate
 
 __all__ = ["build_ldc_problem", "ldc_reference", "ldc_validator"]
@@ -58,11 +60,10 @@ def ldc_validator(config, rng):
 
 
 def build_ldc_problem(config, n_interior, rng):
-    """Construct clouds and constraints for one LDC training run.
+    """Lid-driven cavity, zero-equation turbulence (paper §4.1, Table 1).
 
-    Returns
-    -------
-    dict with keys ``interior_cloud``, ``constraints``, ``output_names``.
+    One LDC training run: interior, lid and no-slip clouds, validated
+    against the cached reference solve.
     """
     geometry = Rectangle((0.0, 0.0), (1.0, 1.0))
     interior = geometry.sample_interior(n_interior, rng)
@@ -88,5 +89,6 @@ def build_ldc_problem(config, n_interior, rng):
                            {"u": 0.0, "v": 0.0},
                            batch_size=0, weight=config.boundary_weight),
     ]
-    return {"interior_cloud": interior, "constraints": constraints,
-            "output_names": OUTPUT_NAMES}
+    return Problem(
+        "ldc", constraints, interior, OUTPUT_NAMES, ("x", "y"),
+        validator_factory=lambda vrng: [ldc_validator(config, vrng)])

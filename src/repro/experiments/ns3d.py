@@ -28,7 +28,7 @@ import numpy as np
 from ..geometry import Box
 from ..pde import NavierStokes3D
 from ..training import (
-    BoundaryConstraint, InteriorConstraint, PointwiseValidator,
+    BoundaryConstraint, InteriorConstraint, PointwiseValidator, Problem,
 )
 
 __all__ = ["build_ns3d_problem", "ns3d_exact", "ns3d_validator",
@@ -85,12 +85,11 @@ def _forcing_sources(config):
 
 
 def build_ns3d_problem(config, n_interior, rng):
-    """Construct clouds and constraints for one 3-D Navier-Stokes run.
+    """3-D Navier-Stokes with a third velocity output w, validated against
+    the manufactured Beltrami flow.
 
-    Returns
-    -------
-    dict with keys ``interior_cloud``, ``constraints``, ``output_names``,
-    ``spatial_names`` (same shape as the other problem builders).
+    One 3-D Navier-Stokes run: the forced interior cloud and walls carrying
+    the exact velocity and pressure.
     """
     cube = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     interior = cube.sample_interior(n_interior, rng)
@@ -114,5 +113,6 @@ def build_ns3d_problem(config, n_interior, rng):
                            batch_size=0, weight=config.boundary_weight,
                            spatial_names=SPATIAL_NAMES),
     ]
-    return {"interior_cloud": interior, "constraints": constraints,
-            "output_names": OUTPUT_NAMES, "spatial_names": SPATIAL_NAMES}
+    return Problem(
+        "ns3d", constraints, interior, OUTPUT_NAMES, SPATIAL_NAMES,
+        validator_factory=lambda vrng: [ns3d_validator(config, vrng)])

@@ -12,7 +12,7 @@ import numpy as np
 from ..geometry import Box
 from ..pde import Poisson3D
 from ..training import (
-    BoundaryConstraint, InteriorConstraint, PointwiseValidator,
+    BoundaryConstraint, InteriorConstraint, PointwiseValidator, Problem,
 )
 
 __all__ = ["build_poisson3d_problem", "poisson3d_exact",
@@ -40,12 +40,9 @@ def poisson3d_validator(config, rng):
 
 
 def build_poisson3d_problem(config, n_interior, rng):
-    """Construct clouds and constraints for one 3-D Poisson run.
+    """3-D Poisson in the unit cube, manufactured sin·sin·sin solution.
 
-    Returns
-    -------
-    dict with keys ``interior_cloud``, ``constraints``, ``output_names``,
-    ``spatial_names`` (same shape as the LDC/annular-ring builders).
+    One 3-D Poisson run: the interior cloud and homogeneous Dirichlet walls.
     """
     cube = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     interior = cube.sample_interior(n_interior, rng)
@@ -59,5 +56,6 @@ def build_poisson3d_problem(config, n_interior, rng):
                            batch_size=0, weight=config.boundary_weight,
                            spatial_names=SPATIAL_NAMES),
     ]
-    return {"interior_cloud": interior, "constraints": constraints,
-            "output_names": OUTPUT_NAMES, "spatial_names": SPATIAL_NAMES}
+    return Problem(
+        "poisson3d", constraints, interior, OUTPUT_NAMES, SPATIAL_NAMES,
+        validator_factory=lambda vrng: [poisson3d_validator(config, vrng)])

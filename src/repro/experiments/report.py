@@ -174,8 +174,9 @@ def table2_rows(histories):
     rows = _min_rows(histories, ("u", "v"))
     rows.append(("p at Min(v)", {c: histories[c].value_at_min("v", "p")
                                  for c in columns}))
-    rows += _time_rows(histories, uniform[:1] + uniform[-1:] + mis,
-                       ("u", "v"))
+    # the smallest and largest uniform columns (one column when there is one)
+    references = list(dict.fromkeys(uniform[:1] + uniform[-1:] + mis))
+    rows += _time_rows(histories, references, ("u", "v"))
     rows.append(_wall_row(histories))
     return columns, rows
 

@@ -1,15 +1,13 @@
 """The :class:`Problem` dataclass: one PINN workload, fully assembled.
 
-Replaces the untyped ``{"constraints": ..., "interior_cloud": ...}`` dicts
-the experiment runner used to pass around.  A ``Problem`` carries everything
-the training engine needs to be dimension- and output-agnostic: the network
-input width follows from ``spatial_names`` plus the cloud's parameter
-columns, the output width from ``output_names``, and validators come from a
-factory so each run can draw its own validation points deterministically.
-
-(The module name carries a leading underscore so the package attribute
-``repro.api.problem`` can be the :func:`~repro.api.problem` entry-point
-function rather than this module.)
+Each registered problem's ``build_<name>_problem`` returns one.  A
+``Problem`` carries everything the training engine needs to be dimension-
+and output-agnostic: the network input width follows from
+``spatial_names`` plus the cloud's parameter columns, the output width from
+``output_names``, and validators come from a factory so each run can draw
+its own validation points deterministically.  It lives beside the
+constraints it holds, below both :mod:`repro.experiments` (whose builders
+return it) and :mod:`repro.api` (which registers those builders).
 """
 
 from __future__ import annotations
@@ -115,16 +113,3 @@ class Problem:
             return []
         rng = rng if rng is not None else np.random.default_rng(0)
         return list(self.validator_factory(rng))
-
-    @classmethod
-    def from_legacy(cls, name, data, spatial_names=("x", "y"),
-                    validator_factory=None):
-        """Wrap a legacy problem-builder dict into a :class:`Problem`."""
-        return cls(name=name,
-                   constraints=list(data["constraints"]),
-                   interior_cloud=data["interior_cloud"],
-                   output_names=data["output_names"],
-                   spatial_names=data.get("spatial_names", spatial_names),
-                   validator_factory=validator_factory,
-                   param_space=data.get("param_space"),
-                   extra_modules=data.get("extra_modules"))

@@ -1,5 +1,10 @@
 """Problem/sampler registries: registration, lookup, and error paths."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -27,6 +32,27 @@ class TestBuiltinRegistrations:
             config = entry.config_factory("smoke")
             assert config.scale == "smoke"
             assert config.n_interior_small > 0
+
+    @pytest.mark.parametrize("first_import", (
+        "import repro.experiments.burgers",
+        "import repro.experiments",
+        "from repro.experiments.configs import burgers_config",
+    ))
+    def test_any_first_import_registers_every_problem(self, first_import):
+        """In a fresh interpreter, reaching the experiments layer first
+        (before ``repro.api``) still registers all seven problems."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        code = (f"{first_import}\n"
+                "from repro.api import list_problems\n"
+                "print(','.join(list_problems()))\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().split(",") == [
+            "advection_diffusion", "annular_ring", "burgers",
+            "inverse_burgers", "ldc", "ns3d", "poisson3d"]
 
     def test_entries_have_descriptions(self):
         for _, entry in problem_registry.items():

@@ -1,8 +1,13 @@
 """Config presets and table/figure formatters (no training required)."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.api import problem_registry
 from repro.experiments import (
     annular_ring_config, format_table, ldc_config, table1_rows, table2_rows,
     history_curves, render_curves, write_curves_csv,
@@ -41,6 +46,18 @@ class TestConfigs:
         assert ar.knn_k == 7 and ar.lrd_level == 6
         assert ar.r_inner_range == (0.75, 1.1)
         assert ar.validation_radii == (1.0, 0.875, 0.75)
+
+    def test_presets_match_snapshot(self):
+        """Every registered problem's paper/repro/smoke preset, field for
+        field: the goldens pin only smoke-scale losses, so this is what pins
+        the repro presets the perfbench workloads train."""
+        presets = {f"{name}/{scale}": dataclasses.asdict(
+                       problem_registry.get(name).config_factory(scale))
+                   for name in problem_registry.names()
+                   for scale in ("paper", "repro", "smoke")}
+        blob = json.dumps(presets, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "e518e6c69d94f1d3b6a0056ff5433942a252b6807ba3e8f764774cf9d9659d7e")
 
 
 def synthetic_history(label, best, n=10, extra=("nu",)):
@@ -97,6 +114,17 @@ class TestTables:
         assert "p at Min(v)" in labels
         value = dict(rows)["p at Min(v)"]["SGM-S128"]
         assert np.isclose(value, 0.15 * 1.2, atol=1e-9)
+
+    def test_table2_single_uniform_column_has_one_time_block(self):
+        histories = {
+            "U32": synthetic_history("U32", 0.30, extra=()),
+            "MIS32": synthetic_history("MIS32", 0.25, extra=()),
+        }
+        columns, rows = table2_rows(histories)
+        labels = [r[0] for r in rows]
+        assert len(labels) == len(set(labels))
+        assert [l for l in labels if l.startswith("T(")] == [
+            "T(U32_u)", "T(MIS32_u)", "T(U32_v)", "T(MIS32_v)"]
 
     def test_format_table_renders_blanks(self):
         text = format_table("demo", ["A", "B"],

@@ -19,25 +19,25 @@ class TestLDCProblem:
                                          np.random.default_rng(1))
 
     def test_constraint_names(self):
-        names = [c.name for c in self.problem["constraints"]]
+        names = [c.name for c in self.problem.constraints]
         assert names == ["interior", "lid", "noslip"]
 
     def test_interior_cloud_size_and_sdf(self):
-        cloud = self.problem["interior_cloud"]
+        cloud = self.problem.interior_cloud
         assert len(cloud) == 500
         assert cloud.sdf is not None and np.all(cloud.sdf > 0)
 
     def test_lid_points_on_top_wall(self):
-        lid = next(c for c in self.problem["constraints"] if c.name == "lid")
+        lid = next(c for c in self.problem.constraints if c.name == "lid")
         assert np.allclose(lid.cloud.coords[:, 1], 1.0)
 
     def test_noslip_excludes_lid(self):
-        noslip = next(c for c in self.problem["constraints"]
+        noslip = next(c for c in self.problem.constraints
                       if c.name == "noslip")
         assert np.all(noslip.cloud.coords[:, 1] < 1.0)
 
     def test_outputs(self):
-        assert self.problem["output_names"] == ("u", "v", "p")
+        assert self.problem.output_names == ("u", "v", "p")
 
 
 class TestARProblem:
@@ -47,23 +47,23 @@ class TestARProblem:
                                         np.random.default_rng(2))
 
     def test_constraint_names(self):
-        names = [c.name for c in self.problem["constraints"]]
+        names = [c.name for c in self.problem.constraints]
         assert names == ["interior", "walls", "inlet", "outlet"]
 
     def test_interior_has_param_column(self):
-        cloud = self.problem["interior_cloud"]
+        cloud = self.problem.interior_cloud
         assert cloud.params.shape == (600, 1)
         assert cloud.param_names == ("r_inner",)
         lo, hi = self.config.r_inner_range
         assert np.all((cloud.params >= lo) & (cloud.params <= hi))
 
     def test_interior_respects_per_point_radius(self):
-        cloud = self.problem["interior_cloud"]
+        cloud = self.problem.interior_cloud
         radii = np.linalg.norm(cloud.coords, axis=1)
         assert np.all(radii >= cloud.params[:, 0] - 1e-9)
 
     def test_inlet_constraint_targets_parabolic_profile(self):
-        inlet = next(c for c in self.problem["constraints"]
+        inlet = next(c for c in self.problem.constraints
                      if c.name == "inlet")
         assert np.allclose(inlet.cloud.coords[:, 0], -5.0)
         target = inlet.targets["u"]
@@ -75,7 +75,7 @@ class TestARProblem:
         assert np.isclose(values[2], 0.0)
 
     def test_outlet_pins_pressure(self):
-        outlet = next(c for c in self.problem["constraints"]
+        outlet = next(c for c in self.problem.constraints
                       if c.name == "outlet")
         assert outlet.targets == {"p": 0.0}
 

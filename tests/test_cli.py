@@ -1,5 +1,10 @@
 """CLI surface: parser wiring and the cheap commands."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -546,6 +551,34 @@ def test_lint_rules_catalog(capsys):
     for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
                     "RPR006", "RPR007", "RPR008", "RPR009", "RPR010"):
         assert rule_id in out
+
+
+@pytest.mark.parametrize("unbuffered", (False, True),
+                         ids=("exit-flush", "mid-print"))
+def test_closed_stdout_is_a_normal_end_of_output(unbuffered):
+    """``repro ... | head``: a reader that stops early ends the output.
+
+    The pipe's read end is closed before the CLI starts, so every write
+    fails.  Buffered, the failure comes from the final flush (short
+    outputs); unbuffered, from the first ``print`` inside the command (as
+    a long output's does once the buffer fills).
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--rules"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
 
 
 def test_analyze_tape_burgers_json(capsys):
