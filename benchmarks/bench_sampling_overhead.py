@@ -12,7 +12,7 @@ import pytest
 from repro.api import build_problem
 from repro.experiments import ldc_config
 from repro.nn import Adam, FullyConnected
-from repro.sampling import MISSampler, SGMSampler
+from repro.sampling import ClusterPlan, MISSampler, SGMSampler
 from repro.training import Trainer
 
 N_POINTS = 8_000
@@ -48,9 +48,10 @@ def test_mis_refresh_probes_full_dataset(benchmark, ldc_training_setup):
 
 def test_sgm_refresh_probes_r_fraction(benchmark, ldc_training_setup):
     config, problem, net = ldc_training_setup
-    sampler = SGMSampler(problem.interior_cloud.features(), k=8, level=5,
-                         tau_e=10_000, tau_G=100_000, probe_ratio=0.15,
-                         seed=0, num_vectors=8)
+    plan = ClusterPlan(problem.interior_cloud.features(), 1, k=8, level=5,
+                       num_vectors=8, seed=0)
+    sampler = SGMSampler(plan, tau_e=10_000, tau_G=100_000, probe_ratio=0.15,
+                         seed=0)
     _trainer_with(sampler, problem, net)
     sampler.start()
 
@@ -65,8 +66,9 @@ def test_sgm_refresh_probes_r_fraction(benchmark, ldc_training_setup):
 
 def test_sgm_rebuild_cost(benchmark, ldc_training_setup):
     config, problem, net = ldc_training_setup
-    sampler = SGMSampler(problem.interior_cloud.features(), k=8, level=5,
-                         seed=0, num_vectors=8)
+    plan = ClusterPlan(problem.interior_cloud.features(), 1, k=8, level=5,
+                       num_vectors=8, seed=0)
+    sampler = SGMSampler(plan, seed=0)
 
     benchmark.pedantic(sampler.build_clusters, rounds=1, iterations=1)
 

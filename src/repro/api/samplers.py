@@ -30,8 +30,7 @@ def _uniform(config, interior_cloud, seed):
 def _mis(config, interior_cloud, seed):
     """Modulus-style pointwise importance sampling (full-dataset
     refreshes)."""
-    return MISSampler(len(interior_cloud), tau_e=config.tau_e,
-                      measure="grad_norm", seed=seed)
+    return MISSampler(len(interior_cloud), tau_e=config.tau_e, seed=seed)
 
 
 def _sgm(config, interior_cloud, seed, use_isr):

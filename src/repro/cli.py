@@ -69,7 +69,7 @@ def _cmd_info(args):
     subsystems = [
         ("api", "Problem/Session API + problem & sampler registries"),
         ("autodiff", "higher-order reverse-mode AD"),
-        ("nn", "MLPs, optimizers (Adam/SGD), schedules"),
+        ("nn", "MLPs, the Adam optimizer, schedules"),
         ("geometry", "2-D/3-D CSG with SDF sampling"),
         ("pde", "NS 2D/3D, zero-eq turbulence, Poisson 2D/3D, Burgers, "
                 "trainable coefficients"),

@@ -140,8 +140,7 @@ def make_shard_sampler(kind, config, constraint, *, n_shards, shard,
             probe_ratio=config.probe_ratio, seed=seed_seq)
     indices = stride_shards(constraint.n_points, n_shards)[shard]
     if kind == "mis":
-        inner = MISSampler(len(indices), tau_e=config.tau_e,
-                           measure="grad_norm", seed=seed_seq)
+        inner = MISSampler(len(indices), tau_e=config.tau_e, seed=seed_seq)
     else:
         inner = UniformSampler(len(indices), seed=seed_seq)
     return ShardSampler(inner, indices)

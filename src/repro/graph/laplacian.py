@@ -38,7 +38,7 @@ def knn_adjacency(points, k):
     ----------
     points:
         ``(n, d)`` coordinates (the paper uses the low-dimensional spatial
-        coordinates; output features can be appended by the caller).
+        coordinates, plus any geometry parameters).
     k:
         Neighbours per node.
     """

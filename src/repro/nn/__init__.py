@@ -3,13 +3,13 @@
 from .module import Module, Parameter
 from .layers import Linear, ActivationRule, ACTIVATIONS
 from .mlp import FullyConnected, Jet
-from .optim import Optimizer, SGD, Adam
+from .optim import Optimizer, Adam
 from .schedulers import ExponentialDecayLR
 from .init import xavier_uniform
 
 __all__ = [
     "Module", "Parameter",
     "Linear", "ActivationRule", "ACTIVATIONS", "FullyConnected", "Jet",
-    "Optimizer", "SGD", "Adam", "ExponentialDecayLR",
+    "Optimizer", "Adam", "ExponentialDecayLR",
     "xavier_uniform",
 ]

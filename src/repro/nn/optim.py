@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -43,32 +43,6 @@ class Optimizer:
 
     def _update(self, grads):
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum (eq. 5)."""
-
-    def __init__(self, params, lr=1e-3, momentum=0.0):
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def state_dict(self):
-        state = super().state_dict()
-        state["velocity"] = [v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        self._velocity = [np.asarray(v).copy() for v in state["velocity"]]
-
-    def _update(self, grads):
-        for p, g, v in zip(self.params, grads, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
 
 
 class Adam(Optimizer):

@@ -63,13 +63,6 @@ def current():
     return _ACTIVE.current_id()
 
 
-def span_under(name, parent, **attrs):
-    """Open a span with an explicit parent id (cross-thread nesting)."""
-    if _ACTIVE is None:
-        return NOOP_SPAN
-    return _ACTIVE.span(name, parent=parent, **attrs)
-
-
 def inc(name, amount=1):
     if _ACTIVE is not None:
         _ACTIVE.inc(name, amount)

@@ -4,7 +4,8 @@ Follows Nabian, Gladstone & Meidani (2021) as implemented in Modulus:
 sampling probability proportional to an importance measure — the 2-norm of
 the velocity derivatives — evaluated over the *entire* dense point cloud.
 Mini-batch losses are re-weighted by ``1 / (N p_i)`` to keep the integral
-estimate unbiased.
+estimate unbiased.  Nabian et al.'s loss-proportional variant (their eq. 7)
+is not reproduced: the paper's MIS column uses Modulus' measure.
 
 The paper reduces how often MIS refreshes its measure to the same ``tau_e``
 cadence SGM-PINN uses ("for an even comparison we reduce how often the
@@ -23,12 +24,11 @@ __all__ = ["MISSampler"]
 
 
 class MISSampler(Sampler):
-    """Loss/gradient-proportional importance sampling over all points."""
+    """Gradient-norm-proportional importance sampling over all points."""
 
     name = "mis"
 
-    def __init__(self, n_points, tau_e=7000, measure="grad_norm",
-                 floor_fraction=0.1, seed=0):
+    def __init__(self, n_points, tau_e=7000, floor_fraction=0.1, seed=0):
         """
         Parameters
         ----------
@@ -36,9 +36,6 @@ class MISSampler(Sampler):
             Dataset size ``N``.
         tau_e:
             Refresh cadence in iterations.
-        measure:
-            ``"grad_norm"`` (Modulus' velocity-derivative norm) or
-            ``"loss"`` (Nabian's loss-proportional variant, eq. 7).
         floor_fraction:
             Mixes a uniform floor into the distribution
             (``p = (1-f) p_importance + f / N``) so no region is starved —
@@ -48,23 +45,24 @@ class MISSampler(Sampler):
         self.tau_e = int(tau_e)
         if self.tau_e < 1:
             raise ValueError(f"tau_e must be >= 1, got {self.tau_e}")
-        self.measure = measure
-        if measure not in ("grad_norm", "loss"):
-            raise ValueError(f"unknown measure {measure!r}")
         self.floor_fraction = float(floor_fraction)
         self.probabilities = np.full(n_points, 1.0 / n_points)
         self._refreshed_once = False
 
+    @property
+    def refresh_count(self):
+        """Refreshes so far: each one probes all :attr:`n_points`."""
+        return self.probe_points // self.n_points
+
     # ------------------------------------------------------------------
     def _refresh(self):
-        probe = (self.probe_grad_norm if self.measure == "grad_norm"
-                 else self.probe_loss)
-        if probe is None:
+        if self.probe_grad_norm is None:
             raise RuntimeError("MIS sampler needs probe callbacks bound "
                                "before training starts")
         with obs.timed_span("sampler.refresh") as refresh_timer:
             all_points = np.arange(self.n_points)
-            values = np.asarray(probe(all_points), dtype=np.float64).ravel()
+            values = np.asarray(self.probe_grad_norm(all_points),
+                                dtype=np.float64).ravel()
             self.probe_points += self.n_points
             values = np.maximum(values, 0.0)
             total = values.sum()

@@ -12,10 +12,13 @@ Pipeline per the paper:
   each cluster, rank clusters, map scores to per-cluster sampling ratios
   ``P``, and emit an epoch with ``P_i * S_i`` samples per cluster (with a
   floor of one sample per cluster so no region is forgotten).  Every
-  ``tau_G`` iterations rebuild the graph and clusters.
+  ``tau_G`` iterations rebuild the clusters.
 
-S1 + S2 live in :class:`ClusterPlan` alone.  Rebuild ``i`` is a pure
-function of ``(graph features, seed, i)``: its LRD seed comes from
+S1 + S2 live in :class:`ClusterPlan` alone.  The plan builds its kNN PGM
+once and keeps it, so a rebuild reruns only S2.  (The paper's §3.2 option
+of appending the network's outputs to the graph features is not
+reproduced.)  Rebuild ``i`` is a pure function of ``(features, seed, i)``:
+its LRD seed comes from
 ``SeedSequence([seed, ClusterPlan._STREAM, i])``, never from a sampler's
 stream, so it is known before it is needed and every rank that builds it
 gets the same labels.  A plan is split into ``n_shards`` whole-cluster
@@ -50,20 +53,6 @@ def _minmax(values):
     return (values - lo) / (hi - lo)
 
 
-def knn_lrd_labels(features, *, k, level, num_vectors, seed, adjacency=None):
-    """S1 + S2: cluster labels of a kNN PGM's LRD decomposition.
-
-    Returns ``(labels, adjacency)``.  A given ``adjacency`` (the kNN PGM of
-    the same ``features``) skips S1."""
-    if adjacency is None:
-        with obs.span("sampler.knn_build"):
-            adjacency = knn_adjacency(features, k)
-    with obs.span("sampler.cluster_update"):
-        labels = lrd_decompose(adjacency, level=level,
-                               num_vectors=num_vectors, seed=seed).labels
-    return labels, adjacency
-
-
 def split_clusters(labels):
     """Member index arrays of every cluster, in ascending label order."""
     order = np.argsort(labels, kind="stable")
@@ -77,9 +66,9 @@ class ClusterPlan:
     Shared by the ``n_shards`` samplers that split the cloud's clusters
     (one for serial SGM).  Only the latest rebuild is cached: samplers
     sharing a plan rebuild in lockstep, so the shards co-located on one
-    rank share a single decomposition.  The kNN PGM of the plan's own
-    features does not depend on the rebuild index, so it is built once and
-    kept; only the LRD step, whose seed does, runs again.
+    rank share a single decomposition.  The kNN PGM does not depend on
+    the rebuild index, so it is built on the first rebuild and kept; only
+    the LRD step, whose seed does, runs again.
     """
 
     #: spawn-key constant separating plan RNG streams from sampler streams
@@ -113,28 +102,24 @@ class ClusterPlan:
         self._latest = None
         self._adjacency = None
 
-    def labels(self, rebuild_index, features=None):
+    def labels(self, rebuild_index):
         """The global cluster labels of rebuild ``rebuild_index``.
 
-        ``features`` replaces the plan's own for this build (§3.2's
-        output-augmented graph); every caller of one rebuild must pass the
-        same matrix; its kNN PGM is built afresh on every rebuild.  Only
-        the call that actually builds the decomposition is timed (cache hits
-        are free), so a build is counted once.
+        Only the call that actually builds the decomposition is timed
+        (cache hits are free), so a build is counted once.
         """
         if self._latest is not None and self._latest[0] == rebuild_index:
             return self._latest[1]
-        own_features = features is None
-        features = self.features if own_features else features
         seed = int(np.random.default_rng(np.random.SeedSequence(
             [self.seed, self._STREAM, rebuild_index])).integers(2 ** 31))
         with obs.timed_span("sampler.rebuild") as rebuild_timer:
-            labels, adjacency = knn_lrd_labels(
-                features, k=self.k, level=self.level,
-                num_vectors=self.num_vectors, seed=seed,
-                adjacency=self._adjacency if own_features else None)
-            if own_features:
-                self._adjacency = adjacency
+            if self._adjacency is None:
+                with obs.span("sampler.knn_build"):
+                    self._adjacency = knn_adjacency(self.features, self.k)
+            with obs.span("sampler.cluster_update"):
+                labels = lrd_decompose(self._adjacency, level=self.level,
+                                       num_vectors=self.num_vectors,
+                                       seed=seed).labels
         self._latest = (rebuild_index, labels)
         obs.inc("sampler.rebuild_count")
         obs.inc("sampler.rebuild_seconds", rebuild_timer.seconds)
@@ -148,16 +133,13 @@ class SGMSampler(Sampler):
 
     def __init__(self, plan, shard=0, *, tau_e=7000, tau_G=25000,
                  probe_ratio=0.15, use_isr=False, isr_weight=1.0, isr_k=10,
-                 isr_rank=6, ratio_range=(0.05, 0.9),
-                 append_output_features=False, output_feature_weight=1.0,
-                 seed=0, **plan_options):
+                 isr_rank=6, ratio_range=(0.05, 0.9), seed=0):
         """
         Parameters
         ----------
         plan:
             The :class:`ClusterPlan` whose clusters this sampler draws
-            from, or a bare feature matrix, which stands for the one-shard
-            plan ``ClusterPlan(features, 1, seed=seed, **plan_options)``.
+            from.
         shard:
             Which of the plan's shards this sampler owns.
         tau_e:
@@ -173,21 +155,7 @@ class SGMSampler(Sampler):
         ratio_range:
             ``(p_min, p_max)`` sampling-ratio range the cluster scores are
             mapped onto (Algorithm 1, line 9).
-        append_output_features:
-            §3.2: at every ``tau_G`` rebuild after the first, append the
-            network's current outputs (e.g. flow velocities) to the graph
-            features, so later PGMs encode output-space similarity too.
-            Costs one forward pass per dataset point per rebuild, counted in
-            :attr:`probe_points`.
-        output_feature_weight:
-            Scale of the appended (standardised) output columns relative to
-            the standardised input features.
         """
-        if not isinstance(plan, ClusterPlan):
-            plan = ClusterPlan(plan, 1, seed=seed, **plan_options)
-        elif plan_options:
-            raise TypeError(f"{sorted(plan_options)} are ClusterPlan "
-                            f"options; set them on the plan")
         super().__init__(len(plan.features), seed=seed)
         self.plan = plan
         self.shard = int(shard)
@@ -205,8 +173,6 @@ class SGMSampler(Sampler):
         self.ratio_min, self.ratio_max = map(float, ratio_range)
         if not 0.0 < self.ratio_min <= self.ratio_max <= 1.0:
             raise ValueError("need 0 < p_min <= p_max <= 1")
-        self.append_output_features = bool(append_output_features)
-        self.output_feature_weight = float(output_feature_weight)
 
         self.labels = None
         self.clusters = []
@@ -220,31 +186,9 @@ class SGMSampler(Sampler):
     # ------------------------------------------------------------------
     # S1 + S2: adopt the plan's clustering
     # ------------------------------------------------------------------
-    def _standardise(self, matrix):
-        std = matrix.std(axis=0)
-        std[std < 1e-12] = 1.0
-        return (matrix - matrix.mean(axis=0)) / std
-
-    def _graph_features(self):
-        """Features the PGM is built over; ``None`` keeps the plan's own.
-
-        §3.2 optionally appends the network's current outputs after the
-        first rebuild."""
-        if (not self.append_output_features or self.rebuild_count == 0
-                or self.probe_outputs is None):
-            return None
-        outputs = np.asarray(self.probe_outputs(np.arange(self.n_points)),
-                             dtype=np.float64)
-        self.probe_points += self.n_points
-        return np.concatenate(
-            [self._standardise(self.plan.features),
-             self.output_feature_weight * self._standardise(outputs)],
-            axis=1)
-
     def build_clusters(self):
         """Adopt the plan's rebuild :attr:`rebuild_count`."""
-        self._set_labels(self.plan.labels(self.rebuild_count,
-                                          self._graph_features()))
+        self._set_labels(self.plan.labels(self.rebuild_count))
         self.rebuild_count += 1
 
     def _set_labels(self, labels):

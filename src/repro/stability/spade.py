@@ -69,8 +69,12 @@ def _generalized_eigs(l_x, l_y, rank, regularization):
         vals, vecs = scipy.linalg.eigh(l_x.toarray(), l_y_reg.toarray())
         vals, vecs = vals[::-1], vecs[:, ::-1]
         return vals[:rank], vecs[:, :rank]
+    # left unseeded, ARPACK draws its start vector from a seed it keeps
+    # between calls; a fixed one makes the result a function of the inputs
+    # (not the all-ones vector, which lies in L_X's null space)
+    v0 = np.random.default_rng(0).standard_normal(n)
     vals, vecs = spla.eigsh(l_x.tocsc(), k=rank, M=l_y_reg.tocsc(),
-                            which="LM")
+                            which="LM", v0=v0)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

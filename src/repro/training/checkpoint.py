@@ -64,7 +64,7 @@ def save_checkpoint(path, net, optimizer=None, extra=None):
     net:
         Module whose ``state_dict`` to persist.
     optimizer:
-        Optional optimizer with ``state_dict()`` (Adam/SGD).
+        Optional optimizer with ``state_dict()`` (Adam).
     extra:
         Optional dict of additional arrays/scalars (e.g. step counters).
     """

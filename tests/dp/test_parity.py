@@ -78,32 +78,38 @@ def test_world_size_parity_for_other_sampler_kinds(kind):
     _assert_bit_identical(serial, distributed)
 
 
-def _serial_sgm_counts(problem):
+def _serial_counts(problem, sampler):
     """(refresh, rebuild) counts of the same run through ``run_problem``."""
     from repro.api.problems import build_problem
     from repro.api.session import run_problem
+    from repro.api.types import SamplerStats
     config = PROBLEMS[problem]("smoke")
     prob = build_problem(problem, config,
                          rng=np.random.default_rng(config.seed),
                          n_interior=N_INTERIOR)
-    serial = run_problem(prob, config, sampler="sgm", batch_size=BATCH,
-                         seed=config.seed, steps=STEPS, validators=[]).sampler
+    serial = SamplerStats.of(run_problem(
+        prob, config, sampler=sampler, batch_size=BATCH, seed=config.seed,
+        steps=STEPS, validators=[]).sampler)
     return serial.refresh_count, serial.rebuild_count
 
 
-@pytest.mark.parametrize("world_size", [1, 2])
-def test_result_sampler_reports_the_run_statistics(world_size):
-    result = _run("burgers", world_size=world_size)
+@pytest.mark.parametrize("world_size, kind", [
+    pytest.param(1, "sgm", id="1"), pytest.param(2, "sgm", id="2"),
+    pytest.param(2, "mis", id="mis")])
+def test_result_sampler_reports_the_run_statistics(world_size, kind):
+    result = _run("burgers", world_size=world_size, sampler=kind)
     sampler = result.sampler
     assert sampler.probe_points == result.history.probe_points[-1] > 0
-    assert sampler.labels is not None
     assert sampler.world_size == world_size
     assert sampler.n_shards >= world_size
-    # the shards refresh and rebuild in lockstep from one plan: the counts
-    # are the plan's, whatever the placement, and equal the serial run's
+    # the shards refresh (and SGM's rebuild) in lockstep: the counts are
+    # one shard's, whatever the placement, and equal the serial run's
     counts = (sampler.refresh_count, sampler.rebuild_count)
-    assert counts[1] >= 1
-    assert counts == _serial_sgm_counts("burgers")
+    assert counts[0] >= 1
+    assert counts == _serial_counts("burgers", kind)
+    if kind == "sgm":
+        assert sampler.labels is not None
+        assert counts[1] >= 1
 
 
 def test_compiled_replay_matches_eager_shard_step():

@@ -4,32 +4,13 @@ import numpy as np
 import pytest
 
 from repro.autodiff import gradients
-from repro.nn import Adam, ExponentialDecayLR, FullyConnected, Parameter, SGD
+from repro.nn import Adam, ExponentialDecayLR, FullyConnected, Parameter
 from repro.autodiff import Tensor
 
 
 def quadratic_loss(p, target):
     diff = p - target
     return (diff * diff).sum()
-
-
-def test_sgd_matches_hand_computed_step():
-    p = Parameter(np.array([1.0, -2.0]))
-    opt = SGD([p], lr=0.1)
-    loss = quadratic_loss(p, np.zeros(2))
-    grads = gradients(loss, [p])
-    opt.step([g.numpy().copy() for g in grads])
-    assert np.allclose(p.data, [1.0 - 0.1 * 2.0, -2.0 + 0.1 * 4.0])
-
-
-def test_sgd_momentum_accumulates():
-    p = Parameter(np.array([1.0]))
-    opt = SGD([p], lr=0.1, momentum=0.9)
-    opt.step([np.array([1.0])])
-    first = p.data.copy()
-    opt.step([np.array([1.0])])
-    second_step = first - p.data
-    assert second_step > 0.1  # momentum adds to the raw gradient step
 
 
 def test_adam_first_step_is_lr_sized():
@@ -70,12 +51,12 @@ def test_adam_trains_small_regression_net():
 
 def test_optimizer_rejects_empty_params():
     with pytest.raises(ValueError):
-        SGD([], lr=0.1)
+        Adam([], lr=0.1)
 
 
 def test_optimizer_rejects_wrong_grad_count():
     p = Parameter(np.zeros(2))
-    opt = SGD([p], lr=0.1)
+    opt = Adam([p], lr=0.1)
     with pytest.raises(ValueError):
         opt.step([])
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sampling import MISSampler, SGMSampler, UniformSampler
+from repro.sampling import ClusterPlan, MISSampler, SGMSampler, UniformSampler
 
 
 @settings(max_examples=25, deadline=None)
@@ -21,7 +21,7 @@ def test_uniform_batches_always_valid(n, batch, seed):
 def test_mis_probabilities_always_normalised(n, seed):
     rng = np.random.default_rng(seed)
     values = rng.exponential(size=n)
-    sampler = MISSampler(n, tau_e=100, measure="loss", seed=seed)
+    sampler = MISSampler(n, tau_e=100, seed=seed)
     sampler.bind_probes(probe_loss=lambda i: values[i],
                         probe_grad_norm=lambda i: values[i])
     sampler.batch_indices(0, min(8, n))
@@ -34,7 +34,7 @@ def test_mis_probabilities_always_normalised(n, seed):
 def test_mis_weights_positive_mean_one(n, seed):
     rng = np.random.default_rng(seed)
     values = rng.exponential(size=n) + 0.01
-    sampler = MISSampler(n, tau_e=100, measure="loss", seed=seed)
+    sampler = MISSampler(n, tau_e=100, seed=seed)
     sampler.bind_probes(probe_loss=lambda i: values[i],
                         probe_grad_norm=lambda i: values[i])
     batch = sampler.batch_indices(0, min(16, n))
@@ -49,8 +49,9 @@ def test_sgm_epoch_always_covers_every_cluster(n, level, seed):
     rng = np.random.default_rng(seed)
     features = rng.uniform(size=(n, 2))
     losses = rng.exponential(size=n)
-    sampler = SGMSampler(features, k=min(6, n - 2), level=level, tau_e=1000,
-                         tau_G=10_000, seed=seed, num_vectors=6)
+    plan = ClusterPlan(features, 1, k=min(6, n - 2), level=level,
+                       num_vectors=6, seed=seed)
+    sampler = SGMSampler(plan, tau_e=1000, tau_G=10_000, seed=seed)
     sampler.bind_probes(probe_loss=lambda i: losses[i])
     sampler.start()
     sampler.refresh_scores()
@@ -65,8 +66,8 @@ def test_sgm_epoch_always_covers_every_cluster(n, level, seed):
 def test_sgm_probe_subset_within_clusters(n, seed):
     rng = np.random.default_rng(seed)
     features = rng.uniform(size=(n, 2))
-    sampler = SGMSampler(features, k=6, level=3, probe_ratio=0.2,
-                         seed=seed, num_vectors=6)
+    plan = ClusterPlan(features, 1, k=6, level=3, num_vectors=6, seed=seed)
+    sampler = SGMSampler(plan, probe_ratio=0.2, seed=seed)
     sampler.bind_probes(probe_loss=lambda i: np.ones(len(i)))
     sampler.start()
     subsets = sampler._probe_subset()

@@ -26,7 +26,10 @@ def make_sampler(features=None, **kwargs):
     defaults = dict(k=8, level=4, tau_e=50, tau_G=200, probe_ratio=0.15,
                     seed=0, num_vectors=12)
     defaults.update(kwargs)
-    sampler = SGMSampler(features, **defaults)
+    plan = ClusterPlan(features, 1, seed=defaults["seed"],
+                       **{key: defaults.pop(key)
+                          for key in ("k", "level", "num_vectors")})
+    sampler = SGMSampler(plan, **defaults)
     sampler.bind_probes(probe_loss=corner_loss(features),
                         probe_outputs=lambda i: features[i])
     return sampler, features
@@ -84,7 +87,7 @@ class TestScoring:
                           atol=0.05)
 
     def test_requires_probe_binding(self):
-        sampler = SGMSampler(grid_features(), k=8, level=4)
+        sampler = SGMSampler(ClusterPlan(grid_features(), 1, k=8, level=4))
         sampler.start()
         with pytest.raises(RuntimeError):
             sampler.refresh_scores()
@@ -159,7 +162,8 @@ class TestClusterPlan:
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_one_clustering_per_features_seed_and_rebuild(self, n_shards):
-        serial = SGMSampler(grid_features(), **self.PLAN)
+        serial = SGMSampler(ClusterPlan(grid_features(), 1, **self.PLAN),
+                            seed=self.PLAN["seed"])
         shards = self.shard_samplers(n_shards)
         rebuilds = []
         for _ in range(2):
@@ -212,14 +216,6 @@ class TestKnnReuse:
             np.testing.assert_array_equal(plan.labels(i), fresh[i])
         assert len(knn_calls) == 1
 
-    def test_output_features_build_knn_every_rebuild(self, monkeypatch):
-        knn_calls = self.count_calls(monkeypatch, "knn_adjacency")
-        sampler, _ = make_sampler(append_output_features=True)
-        for _ in range(3):
-            sampler.build_clusters()
-        assert sampler.rebuild_count == 3
-        assert len(knn_calls) == 3
-
     def test_shards_sharing_a_plan_build_once_per_rebuild(self,
                                                           monkeypatch):
         knn_calls = self.count_calls(monkeypatch, "knn_adjacency")
@@ -268,7 +264,8 @@ class TestISR:
 
     def test_isr_requires_output_probe(self):
         features = self.features_with_transition()
-        sampler = SGMSampler(features, k=8, level=4, use_isr=True, seed=0)
+        sampler = SGMSampler(ClusterPlan(features, 1, k=8, level=4),
+                             use_isr=True, seed=0)
         sampler.bind_probes(probe_loss=lambda i: np.ones(len(i)))
         sampler.start()
         with pytest.raises(RuntimeError):
@@ -281,9 +278,10 @@ class TestISR:
         outputs = np.tanh(30.0 * (features[:, 0:1] - 0.5))
 
         def make(use_isr):
-            sampler = SGMSampler(features, k=8, level=4, use_isr=use_isr,
-                                 probe_ratio=0.5, isr_k=8, seed=0,
-                                 num_vectors=12)
+            plan = ClusterPlan(features, 1, k=8, level=4, num_vectors=12,
+                               seed=0)
+            sampler = SGMSampler(plan, use_isr=use_isr, probe_ratio=0.5,
+                                 isr_k=8, seed=0)
             sampler.bind_probes(probe_loss=lambda i: np.ones(len(i)),
                                 probe_outputs=lambda i: outputs[i])
             sampler.start()

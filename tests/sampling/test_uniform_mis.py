@@ -42,8 +42,8 @@ class TestUniform:
 
 
 class TestMIS:
-    def make_sampler(self, n=200, measure="grad_norm", tau_e=10, **kw):
-        sampler = MISSampler(n, tau_e=tau_e, measure=measure, seed=0, **kw)
+    def make_sampler(self, n=200, tau_e=10, **kw):
+        sampler = MISSampler(n, tau_e=tau_e, seed=0, **kw)
         # importance concentrated on the first half of the indices
         values = np.zeros(n)
         values[: n // 2] = 1.0
@@ -87,6 +87,7 @@ class TestMIS:
             sampler.batch_indices(step, 8)
         # refresh at step 0 and step 10
         assert sampler.probe_points == 200
+        assert sampler.refresh_count == 2
 
     def test_importance_weights_mean_one(self):
         sampler, _ = self.make_sampler()
@@ -101,18 +102,6 @@ class TestMIS:
                             probe_grad_norm=lambda i: np.zeros(len(i)))
         sampler.batch_indices(0, 8)
         assert np.allclose(sampler.probabilities, 1.0 / 50)
-
-    def test_loss_measure_uses_loss_probe(self):
-        sampler = MISSampler(60, tau_e=5, measure="loss", seed=0)
-        values = np.linspace(0, 1, 60)
-        sampler.bind_probes(probe_loss=lambda i: values[i],
-                            probe_grad_norm=lambda i: np.zeros(len(i)))
-        sampler.batch_indices(0, 8)
-        assert sampler.probabilities[-1] > sampler.probabilities[0]
-
-    def test_unknown_measure_rejected(self):
-        with pytest.raises(ValueError):
-            MISSampler(10, measure="nope")
 
     def test_batch_larger_than_dataset_falls_back_to_replacement(self):
         # regression: rng.choice(replace=False, p=...) used to raise

@@ -10,7 +10,7 @@ import pytest
 from repro.geometry import Rectangle
 from repro.nn import Adam, ExponentialDecayLR, FullyConnected
 from repro.pde import Poisson2D
-from repro.sampling import MISSampler, SGMSampler, UniformSampler
+from repro.sampling import ClusterPlan, MISSampler, SGMSampler, UniformSampler
 from repro.training import (
     BoundaryConstraint, InteriorConstraint, PointwiseValidator, Trainer,
 )
@@ -51,9 +51,10 @@ class TestEndToEnd:
     def test_poisson_with_sgm_sampler(self):
         interior, constraints, validator = poisson_problem()
         net = make_net()
-        sgm = SGMSampler(interior.features(), k=8, level=4, tau_e=150,
-                         tau_G=10_000, probe_ratio=0.15, seed=0,
-                         num_vectors=8)
+        plan = ClusterPlan(interior.features(), 1, k=8, level=4,
+                           num_vectors=8, seed=0)
+        sgm = SGMSampler(plan, tau_e=150, tau_G=10_000, probe_ratio=0.15,
+                         seed=0)
         trainer = Trainer(net, constraints,
                           Adam(net.parameters(), lr=3e-3),
                           samplers={"interior": sgm},
@@ -66,7 +67,7 @@ class TestEndToEnd:
     def test_poisson_with_mis_sampler(self):
         interior, constraints, validator = poisson_problem()
         net = make_net()
-        mis = MISSampler(len(interior), tau_e=150, measure="loss", seed=0)
+        mis = MISSampler(len(interior), tau_e=150, seed=0)
         trainer = Trainer(net, constraints,
                           Adam(net.parameters(), lr=3e-3),
                           samplers={"interior": mis},
@@ -121,21 +122,22 @@ class TestMechanics:
         assert np.isclose(merged["u"], direct)
 
     def test_mid_run_rebuild_lands_on_the_wall_clock(self, monkeypatch):
-        # rebuilds run synchronously, so a slow kNN + LRD build shows up
-        # in the recorded wall time of the window it falls in
+        # rebuilds run synchronously, so a slow LRD build shows up in the
+        # recorded wall time of the window it falls in
         from repro.sampling import sgm as sgm_module
         delay = 0.2
-        build = sgm_module.knn_lrd_labels
+        build = sgm_module.lrd_decompose
 
         def slow_build(*args, **kwargs):
             time.sleep(delay)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(sgm_module, "knn_lrd_labels", slow_build)
+        monkeypatch.setattr(sgm_module, "lrd_decompose", slow_build)
         interior, constraints, _ = poisson_problem(n_interior=600)
         net = make_net(width=8, depth=1)
-        sgm = SGMSampler(interior.features(), k=6, level=3, tau_e=20,
-                         tau_G=25, seed=0, num_vectors=8)
+        plan = ClusterPlan(interior.features(), 1, k=6, level=3,
+                           num_vectors=8, seed=0)
+        sgm = SGMSampler(plan, tau_e=20, tau_G=25, seed=0)
         trainer = Trainer(net, constraints, Adam(net.parameters()),
                           samplers={"interior": sgm}, seed=0)
         history = trainer.train(30, validate_every=100, record_every=5)
