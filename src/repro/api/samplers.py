@@ -3,8 +3,9 @@
 Each factory takes ``(config, interior_cloud, seed)`` and returns a
 :class:`repro.sampling.Sampler` over the interior cloud.  SGM-specific
 hyper-parameters are read from the problem config (every config dataclass
-carries the ``tau_e``/``tau_G``/``knn_k``/... block); ISR options fall back
-to the paper's defaults when a config does not define them.
+carries the ``tau_e``/``tau_G``/``knn_k``/... block); a config that does
+not define the ISR options gets :class:`repro.sampling.SGMSampler`'s
+defaults.
 """
 
 from __future__ import annotations
@@ -33,17 +34,19 @@ def _mis(config, interior_cloud, seed):
     return MISSampler(len(interior_cloud), tau_e=config.tau_e, seed=seed)
 
 
+#: the ISR options a config may define; one it leaves out keeps
+#: :class:`SGMSampler`'s default
+_ISR_FIELDS = ("isr_weight", "isr_k", "isr_rank")
+
+
 def _sgm(config, interior_cloud, seed, use_isr):
     plan = ClusterPlan(interior_cloud.features(), 1, k=config.knn_k,
                        level=config.lrd_level, seed=seed)
+    isr = {name: getattr(config, name) for name in _ISR_FIELDS
+           if hasattr(config, name)}
     return SGMSampler(
         plan, tau_e=config.tau_e, tau_G=config.tau_G,
-        probe_ratio=config.probe_ratio,
-        use_isr=use_isr,
-        isr_weight=getattr(config, "isr_weight", 1.0),
-        isr_k=getattr(config, "isr_k", 10),
-        isr_rank=getattr(config, "isr_rank", 6),
-        seed=seed)
+        probe_ratio=config.probe_ratio, use_isr=use_isr, seed=seed, **isr)
 
 
 @register_sampler("sgm")

@@ -3,6 +3,7 @@
 from .knn import knn_search, knn_graph_edges
 from .laplacian import (
     adjacency_from_edges, knn_adjacency, laplacian, degree_vector,
+    spd_factor,
 )
 from .resistance import (
     exact_effective_resistance, approx_edge_resistance, resistance_embedding,
@@ -15,7 +16,7 @@ __all__ = [
     "cut_fraction", "cluster_conductance", "partition_summary",
     "knn_search", "knn_graph_edges",
     "adjacency_from_edges", "knn_adjacency", "laplacian", "degree_vector",
-    "exact_effective_resistance", "approx_edge_resistance",
+    "spd_factor", "exact_effective_resistance", "approx_edge_resistance",
     "resistance_embedding",
     "LRDResult", "lrd_decompose", "cluster_sizes",
     "assign_clusters",

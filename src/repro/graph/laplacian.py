@@ -1,16 +1,20 @@
 """Weighted graph construction and Laplacians for the PGM (paper S1).
 
 Edge weights encode conditional dependence between nearby collocation points,
-inversely proportional to distance (paper §3.2).
+inversely proportional to distance (paper §3.2).  :func:`spd_factor` is the
+one sparse factorisation the sampler uses, for the grounded Laplacian of the
+ER sketch (S2) and for SPADE's ``L_Y + eps I`` (S3).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "adjacency_from_edges", "knn_adjacency", "laplacian", "degree_vector",
+    "spd_factor",
 ]
 
 
@@ -59,3 +63,18 @@ def laplacian(adjacency):
     """Combinatorial Laplacian ``L = D - W`` (CSR)."""
     deg = degree_vector(adjacency)
     return sp.diags(deg) - adjacency
+
+
+def spd_factor(matrix):
+    """SuperLU factor of a symmetric positive definite matrix.
+
+    Symmetric mode: one minimum-degree ordering of ``A^T + A`` for rows
+    and columns, and diagonal pivots.  On a kNN Laplacian this takes about
+    half the time and fill of SuperLU's default COLAMD ordering.  It does
+    not detect singularity (a singular ``matrix`` gives a near-zero pivot,
+    not an error), so callers pass a nonsingular one.  ``solve`` takes one
+    right-hand side or an ``(n, k)`` block.
+    """
+    return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))

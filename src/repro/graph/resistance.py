@@ -10,6 +10,12 @@ Two computations with a common interface:
   when the grounded Laplacian factorizes sparsely (kNN graphs do).  This
   plays the role of the paper's linear-time Krylov-subspace estimator [1]
   and is the one LRD uses.
+
+The sketch factors the grounded Laplacian with
+:func:`~repro.graph.spd_factor`, the factor SPADE also uses, and solves
+every sketch vector in one block solve.  The factor lives only for the
+call: kept across a plan's rebuilds, it would hold its memory for the
+whole run.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .laplacian import laplacian
+from .laplacian import laplacian, spd_factor
 
 __all__ = [
     "exact_effective_resistance",
@@ -48,7 +54,10 @@ def resistance_embedding(adjacency, num_vectors=24, seed=0, solver="auto"):
 
     Each of the ``num_vectors`` rows solves one grounded-Laplacian system
     against a random ±1 combination of weighted incidence rows, following
-    Spielman & Srivastava (2008).
+    Spielman & Srivastava (2008).  One node per connected component is
+    grounded (its column of ``Z`` is zero), so the grounded Laplacian is
+    nonsingular on a disconnected graph too; distances within a component
+    are exact in expectation, distances across components are meaningless.
 
     Parameters
     ----------
@@ -57,8 +66,11 @@ def resistance_embedding(adjacency, num_vectors=24, seed=0, solver="auto"):
     num_vectors:
         Sketch depth ``t``; relative error concentrates like O(1/sqrt(t)).
     solver:
-        ``"splu"`` (sparse LU of the grounded Laplacian), ``"cg"``
-        (conjugate gradients, for very large graphs), or ``"auto"``.
+        ``"splu"`` (one :func:`~repro.graph.spd_factor` of the grounded
+        Laplacian, then a single block solve of all ``t`` right-hand
+        sides), ``"cg"`` (ILU-preconditioned conjugate gradients, one
+        solve per vector, for very large graphs), or ``"auto"`` (``splu``
+        up to 200k nodes).
 
     Returns
     -------
@@ -69,48 +81,45 @@ def resistance_embedding(adjacency, num_vectors=24, seed=0, solver="auto"):
     coo = sp.triu(adjacency, k=1).tocoo()
     weights = coo.data
     m = len(weights)
-    lap = laplacian(adjacency).tocsc()
-    grounded = lap[1:, 1:]
+    # imported here, not at module level: csgraph adds about 1 MB of RSS,
+    # which runs that build no graph need not pay
+    from scipy.sparse.csgraph import connected_components
+    _, component = connected_components(adjacency, directed=False)
+    free = np.ones(n, dtype=bool)
+    free[np.unique(component, return_index=True)[1]] = False
+    grounded = laplacian(adjacency).tocsc()[free][:, free]
 
     if solver == "auto":
         solver = "splu" if n <= 200_000 else "cg"
     if solver == "splu":
-        try:
-            factor = spla.splu(grounded.tocsc())
-        except RuntimeError:
-            # a disconnected graph grounds only node 0's component, leaving
-            # the other components' blocks exactly singular; a tiny diagonal
-            # shift (taken only on this degenerate path, so well-posed
-            # graphs keep bit-identical results) makes the solve proceed
-            shift = 1e-8 * (1.0 + abs(grounded.diagonal()).mean())
-            regularised = grounded + shift * sp.eye(grounded.shape[0],
-                                                    format="csc")
-            factor = spla.splu(regularised.tocsc())
-        solve = factor.solve
+        solve = spd_factor(grounded).solve
     elif solver == "cg":
         ilu = spla.spilu(grounded.tocsc(), drop_tol=1e-4)
         precond = spla.LinearOperator(grounded.shape, ilu.solve)
 
-        def solve(rhs):
+        def solve_one(rhs):
             result, info = spla.cg(grounded, rhs, M=precond, rtol=1e-8,
                                    maxiter=2000)
             if info != 0:
                 raise RuntimeError(f"CG failed to converge (info={info})")
             return result
+
+        def solve(block):
+            return np.column_stack([solve_one(rhs) for rhs in block.T])
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    embedding = np.zeros((num_vectors, n))
+    rhs = np.zeros((num_vectors, n))
     sqrt_w = np.sqrt(weights)
     for t in range(num_vectors):
         signs = rng.choice([-1.0, 1.0], size=m) / np.sqrt(num_vectors)
         # y = B^T W^{1/2} q  accumulated sparsely
-        y = np.zeros(n)
         contrib = signs * sqrt_w
-        np.add.at(y, coo.row, contrib)
-        np.add.at(y, coo.col, -contrib)
-        embedding[t, 1:] = solve(y[1:])
-    # fix the gauge so distances are meaningful (node 0 grounded)
+        np.add.at(rhs[t], coo.row, contrib)
+        np.add.at(rhs[t], coo.col, -contrib)
+    # the grounded nodes fix the gauge, so distances are meaningful
+    embedding = np.zeros((num_vectors, n))
+    embedding[:, free] = solve(rhs[:, free].T).T
     return embedding
 
 

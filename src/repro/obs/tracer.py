@@ -29,6 +29,10 @@ from .metrics import MetricsRegistry
 
 __all__ = ["Span", "Tracer", "NOOP_SPAN"]
 
+#: the bytes of ``json.dumps(record, sort_keys=True)``, without building a
+#: new encoder for every streamed record
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 class Span:
     """One timed region; ``end`` is ``None`` while the region is open."""
@@ -222,7 +226,7 @@ class Tracer:
     def _flush_spans_locked(self):
         if not self._span_buffer:
             return
-        lines = "".join(json.dumps(record, sort_keys=True) + "\n"
+        lines = "".join(_encode(record) + "\n"
                         for record in self._span_buffer)
         with open(self._stream, "a", encoding="utf-8") as handle:
             handle.write(lines)
@@ -231,7 +235,7 @@ class Tracer:
     def _flush_snapshots_locked(self):
         if not self._snapshot_buffer:
             return
-        lines = "".join(json.dumps(record, sort_keys=True) + "\n"
+        lines = "".join(_encode(record) + "\n"
                         for record in self._snapshot_buffer)
         with open(self._metrics_stream, "a", encoding="utf-8") as handle:
             handle.write(lines)

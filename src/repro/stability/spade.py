@@ -29,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..graph import knn_adjacency, laplacian
+from ..graph import knn_adjacency, laplacian, spd_factor
 
 __all__ = ["SpadeResult", "spade_scores"]
 
@@ -73,8 +73,12 @@ def _generalized_eigs(l_x, l_y, rank, regularization):
     # between calls; a fixed one makes the result a function of the inputs
     # (not the all-ones vector, which lies in L_X's null space)
     v0 = np.random.default_rng(0).standard_normal(n)
+    # ARPACK's generalized mode solves with M at every iteration; hand it
+    # the symmetric-mode factor instead of letting it build a COLAMD one
+    m_inv = spla.LinearOperator((n, n), matvec=spd_factor(l_y_reg).solve,
+                                dtype=np.float64)
     vals, vecs = spla.eigsh(l_x.tocsc(), k=rank, M=l_y_reg.tocsc(),
-                            which="LM", v0=v0)
+                            Minv=m_inv, which="LM", v0=v0)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

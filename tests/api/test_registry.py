@@ -127,3 +127,20 @@ class TestMakeSampler:
         sgm_s = make_sampler("sgm_s", config, cloud)
         assert isinstance(sgm, SGMSampler) and not sgm.use_isr
         assert isinstance(sgm_s, SGMSampler) and sgm_s.use_isr
+
+    def test_isr_options_come_from_the_config_or_the_sampler(self):
+        import inspect
+        from dataclasses import replace
+        from repro.experiments import annular_ring_config, burgers_config
+        from repro.sampling import SGMSampler
+        cloud = PointCloud(
+            coords=np.random.default_rng(0).uniform(size=(200, 2)))
+        defaults = inspect.signature(SGMSampler).parameters
+        burgers = make_sampler("sgm_s", burgers_config("smoke"), cloud)
+        for name in ("isr_weight", "isr_k", "isr_rank"):
+            assert getattr(burgers, name) == defaults[name].default
+        annular = replace(annular_ring_config("smoke"), isr_weight=2.5,
+                          isr_k=7, isr_rank=3)
+        sampler = make_sampler("sgm_s", annular, cloud)
+        assert (sampler.isr_weight, sampler.isr_k, sampler.isr_rank) == (
+            2.5, 7, 3)

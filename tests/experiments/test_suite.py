@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.api import MethodSpec
 from repro.experiments import (
-    SuiteResult, burgers_config, format_table, ldc_config, method_label,
+    SuiteResult, annular_ring_config, burgers_config, format_table, ldc_config, method_label,
     methods_from_samplers, resolve_methods, run_suite, sweep_rows,
 )
 
@@ -146,6 +146,22 @@ def test_serial_and_process_backends_are_bit_identical():
                        steps=6)
     parallel = run_suite("burgers", methods, backend="process",
                          config=config, steps=6)
+    _assert_method_parity(serial, parallel)
+
+
+def test_sgm_s_on_the_eigsh_path_is_bit_identical_across_backends():
+    # 3000 annular points probe 558 per refresh, so every SPADE call takes
+    # the sparse eigsh path (above 400 nodes), unlike any smoke-scale run;
+    # 25 steps span two refreshes (smoke tau_e is 20)
+    config = annular_ring_config("smoke")
+    methods = [MethodSpec("SGM-S3000", "sgm_s", 3000, 32)]
+    serial = run_suite("annular_ring", methods, backend="serial",
+                       config=config, steps=25, validators=[])
+    parallel = run_suite("annular_ring", methods, backend="process",
+                         config=config, steps=25, validators=[])
+    stats = serial.methods[0].sampler_stats
+    assert stats.refresh_count == 2
+    assert serial.methods[0].probe_points / stats.refresh_count > 400
     _assert_method_parity(serial, parallel)
 
 

@@ -2,13 +2,37 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from repro.api import list_problems, problem_registry
+from repro.api.problems import build_problem
 from repro.graph import (
     adjacency_from_edges, approx_edge_resistance, exact_effective_resistance,
-    knn_adjacency, resistance_embedding,
+    knn_adjacency, laplacian, lrd_decompose, resistance_embedding,
 )
 
 RNG = np.random.default_rng(0)
+
+
+def colamd_edge_resistance(adjacency, num_vectors, seed):
+    """Oracle: the sketch with SuperLU's default COLAMD factor, node 0
+    grounded and one solve per vector (connected graphs only)."""
+    rng = np.random.default_rng(seed)
+    n = adjacency.shape[0]
+    coo = sp.triu(adjacency, k=1).tocoo()
+    factor = spla.splu(laplacian(adjacency).tocsc()[1:, 1:].tocsc())
+    sqrt_w = np.sqrt(coo.data)
+    z = np.zeros((num_vectors, n))
+    for t in range(num_vectors):
+        signs = rng.choice([-1.0, 1.0], size=len(coo.data))
+        contrib = signs / np.sqrt(num_vectors) * sqrt_w
+        y = np.zeros(n)
+        np.add.at(y, coo.row, contrib)
+        np.add.at(y, coo.col, -contrib)
+        z[t, 1:] = factor.solve(y[1:])
+    diff = z[:, coo.row] - z[:, coo.col]
+    return np.sum(diff * diff, axis=0)
 
 
 def path_graph(n, weights=None):
@@ -99,6 +123,37 @@ class TestApprox:
         z = resistance_embedding(adj, num_vectors=8, seed=0)
         assert z.shape == (8, 50)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_colamd_oracle(self, seed):
+        # the symmetric-mode factor and the block solve change only the
+        # rounding of the sketch, not its random vectors
+        rng = np.random.default_rng(seed)
+        adj = knn_adjacency(rng.uniform(size=(400, 3)), 6)
+        got = approx_edge_resistance(adj, num_vectors=16, seed=seed)
+        np.testing.assert_allclose(
+            got, colamd_edge_resistance(adj, 16, seed), rtol=1e-9)
+
+    def test_disconnected_graph_grounds_every_component(self):
+        # two far-apart clouds make a two-component kNN graph; each
+        # component is grounded at its lowest node (a zero column), so
+        # neither block of the grounded Laplacian is singular
+        rng = np.random.default_rng(0)
+        points = np.concatenate([rng.uniform(size=(150, 2)),
+                                 rng.uniform(size=(150, 2)) + [5.0, 0.0]])
+        adj = knn_adjacency(points, 5)
+        coo = sp.triu(adj, k=1).tocoo()
+        pairs = np.stack([coo.row, coo.col], axis=1)
+        assert np.all((pairs[:, 0] < 150) == (pairs[:, 1] < 150))
+        z = resistance_embedding(adj, num_vectors=400, seed=0)
+        assert not z[:, 0].any() and not z[:, 150].any()
+        exact = exact_effective_resistance(adj, pairs)
+        diff = z[:, pairs[:, 0]] - z[:, pairs[:, 1]]
+        rel = np.abs(np.sum(diff * diff, axis=0) - exact) / exact
+        first = pairs[:, 0] < 150
+        for part in (rel[first], rel[~first]):
+            assert np.median(part) < 0.08
+            assert part.max() < 0.5
+
     def test_cg_solver_matches_splu(self):
         adj = knn_adjacency(RNG.uniform(size=(60, 2)), 5)
         a = approx_edge_resistance(adj, num_vectors=16, seed=3, solver="splu")
@@ -114,3 +169,18 @@ class TestApprox:
         adj = path_graph(5)
         with pytest.raises(ValueError):
             exact_effective_resistance(adj, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("name", list_problems())
+def test_lrd_labels_match_the_colamd_oracle_on_smoke_clouds(name):
+    config = problem_registry.get(name).config_factory("smoke")
+    cloud = build_problem(name, config, None,
+                          np.random.default_rng(0)).interior_cloud
+    adj = knn_adjacency(cloud.features(), config.knn_k)
+    for seed in (0, 1):
+        oracle = colamd_edge_resistance(adj, 16, seed)
+        want = lrd_decompose(adj, level=config.lrd_level,
+                             edge_resistance=oracle).labels
+        got = lrd_decompose(adj, level=config.lrd_level, num_vectors=16,
+                            seed=seed).labels
+        assert np.array_equal(got, want)

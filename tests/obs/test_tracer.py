@@ -223,6 +223,21 @@ class TestPersistence:
             assert [r["name"] for r in read_jsonl(path)] == ["a", "b",
                                                              "step"]
 
+    def test_streamed_lines_are_sorted_key_json(self, tmp_path):
+        spans, metrics = tmp_path / "spans.jsonl", tmp_path / "metrics.jsonl"
+        tracer = Tracer(stream=spans, metrics_stream=metrics)
+        with tracer.span("outer", zeta=1, alpha="a"):
+            with tracer.span("inner"):
+                pass
+        tracer.inc("train.steps")
+        tracer.snapshot_metrics(step=3, wall_time=0.25)
+        tracer.flush()
+        for path in (spans, metrics):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines
+            assert lines == [json.dumps(record, sort_keys=True)
+                             for record in read_jsonl(path)]
+
     def test_metrics_stream(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         tracer = Tracer(metrics_stream=path)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
+from repro.graph import knn_adjacency, laplacian
 from repro.stability import spade_scores
 
 RNG = np.random.default_rng(0)
@@ -105,3 +108,22 @@ def test_sparse_path_bits_depend_only_on_the_inputs():
     second = spade_scores(x, y, k=10, rank=8)
     assert first.node_scores.tobytes() == second.node_scores.tobytes()
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+
+
+def test_sparse_path_matches_the_dense_oracle():
+    # n = 600 takes the eigsh path (above 400 nodes); the dense pencil
+    # solved by eigh is the oracle for its eigenvalues and edge scores
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(600, 2))
+    y = np.tanh(x @ rng.normal(size=(2, 3)))
+    result = spade_scores(x, y, k=10, rank=6)
+    l_x = laplacian(knn_adjacency(x, 10)).toarray()
+    l_y = laplacian(knn_adjacency(y, 10)) + 1e-6 * sp.eye(600)
+    vals, vecs = scipy.linalg.eigh(l_x, l_y.toarray())
+    vals, vecs = vals[::-1][:6], vecs[:, ::-1][:, :6]
+    np.testing.assert_allclose(result.eigenvalues, vals, rtol=1e-8)
+    v_r = vecs * np.sqrt(vals)[None, :]
+    p, q = result.edges[:, 0], result.edges[:, 1]
+    edge_scores = np.sum((v_r[p] - v_r[q]) ** 2, axis=1)
+    np.testing.assert_allclose(result.edge_scores, edge_scores, rtol=1e-6,
+                               atol=1e-9 * edge_scores.max())
